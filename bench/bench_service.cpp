@@ -1,20 +1,18 @@
 // Multi-tenant service storm bench (experiment index: service). Drives one
-// SolverService through the four contracts the DESIGN.md §7 redesign makes,
-// and writes the measured numbers to BENCH_service.json (override with
+// SolverService through the contracts the DESIGN.md §7 redesign makes, and
+// writes the measured numbers to BENCH_service.json (override with
 // --json=PATH):
 //
-//   bit_identical  a single-tenant, single-job submission through the new
-//                  SubmitRequest API produces the same trajectory (best value
-//                  AND move count) as the deprecated positional shim — the
-//                  redesign added machinery, not behavior, on the one-job path
 //   dedup_storm    N identical submissions from alternating tenants coalesce
 //                  into ONE solve: every future resolves with the same start
 //                  sequence and best value, and stats count N-1 dedup hits
 //   warm_start     a repeat submission seeded from the warm-start store
 //                  reaches the cold run's best value in strictly fewer moves
 //                  than a cold control run chasing the same target
-//   fairness       a two-tenant mixed-priority storm on a narrow pool: per-
-//                  tenant queue-wait percentiles are recorded, and no
+//   fairness       a two-tenant (3:1 weight) mixed-priority storm of distinct
+//                  jobs on a narrow pool: the storm must dedup nothing (every
+//                  job is its own solve, so the weights decide dispatch),
+//                  prod's p50 queue wait must be below batch's, and no
 //                  tenant's p99 wait may exceed 3x the total serial solve
 //                  time (the generous smoke bound for shared CI hardware)
 //
@@ -66,63 +64,7 @@ double percentile(std::vector<double> values, double p) {
   return values[std::min(rank, values.size() - 1)];
 }
 
-// -- Phase 1: the one-job path is bit-identical across the two APIs. --------
-
-struct Trajectory {
-  double best_value = 0.0;
-  std::uint64_t total_moves = 0;
-};
-
-bool run_bit_identical(const std::shared_ptr<const mkp::Instance>& inst,
-                       Trajectory* legacy, Trajectory* fresh) {
-  // A wall-clock budget truncates the run at a load-dependent move, so the
-  // comparison runs chase a probed target instead: both stop at the move
-  // that reaches it, which is deterministic iff the trajectories match.
-  auto options = quick_options(/*budget=*/10.0, kSeed);
-  {
-    service::SolverService server({.num_workers = 2});
-    auto probe = options;
-    probe.time_budget_seconds = 0.3;
-    auto handle = server.submit(make_request(inst, probe));
-    if (!handle) return false;
-    const auto result = handle->result.get();
-    if (!result.status.ok()) return false;
-    options.target_value = result.best_value;
-  }
-  {
-    service::SolverService server({.num_workers = 2});
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    auto submission = server.submit(inst, options);
-#pragma GCC diagnostic pop
-    const auto result = submission.result.get();
-    if (!result.status.ok() || !result.reached_target) {
-      std::fprintf(stderr, "FAIL: legacy-shim run failed: %s\n",
-                   result.status.to_string().c_str());
-      return false;
-    }
-    *legacy = {result.best_value, result.total_moves};
-  }
-  {
-    service::SolverService server({.num_workers = 2});
-    auto handle = server.submit(make_request(inst, options));
-    if (!handle) {
-      std::fprintf(stderr, "FAIL: submit refused: %s\n",
-                   handle.status().to_string().c_str());
-      return false;
-    }
-    const auto result = handle->result.get();
-    if (!result.status.ok() || !result.reached_target) {
-      std::fprintf(stderr, "FAIL: new-API run failed: %s\n",
-                   result.status.to_string().c_str());
-      return false;
-    }
-    *fresh = {result.best_value, result.total_moves};
-  }
-  return true;
-}
-
-// -- Phase 2: an identical storm resolves as one solve. ---------------------
+// -- Phase 1: an identical storm resolves as one solve. ---------------------
 
 struct DedupOutcome {
   std::size_t group = 0;
@@ -170,7 +112,7 @@ bool run_dedup_storm(const std::shared_ptr<const mkp::Instance>& inst,
   return out->one_solve && out->dedup_hits == group - 1;
 }
 
-// -- Phase 3: a warm-started repeat needs no more moves than a cold rerun. --
+// -- Phase 2: a warm-started repeat needs no more moves than a cold rerun. --
 
 struct WarmOutcome {
   double cold_best = 0.0;
@@ -254,7 +196,7 @@ bool run_warm_start(const std::shared_ptr<const mkp::Instance>& inst,
   return true;
 }
 
-// -- Phase 4: two-tenant storm, per-tenant wait percentiles. ----------------
+// -- Phase 3: two-tenant storm, per-tenant wait percentiles. ----------------
 
 struct TenantWaits {
   std::vector<double> waits;
@@ -278,7 +220,10 @@ bool run_fairness_storm(const std::shared_ptr<const mkp::Instance>& inst,
     // Mixed priorities: fairness must come from tenant weights, not from a
     // priority accident — batch even gets the higher priority values.
     for (const bool is_prod : {false, true}) {
-      auto options = quick_options(/*budget=*/0.08, kSeed + 10 + k);
+      // A distinct seed per job: identical jobs would coalesce into one
+      // solve and the weights would never be exercised.
+      auto options = quick_options(/*budget=*/0.08,
+                                   kSeed + 10 + 2 * k + (is_prod ? 1 : 0));
       options.priority = is_prod ? 0 : static_cast<int>(k % 3);
       auto handle = server.submit(
           make_request(inst, std::move(options), is_prod ? "prod" : "batch"));
@@ -306,6 +251,20 @@ bool run_fairness_storm(const std::shared_ptr<const mkp::Instance>& inst,
   for (auto* tenant : {prod, batch}) {
     tenant->p50 = percentile(tenant->waits, 0.50);
     tenant->p99 = percentile(tenant->waits, 0.99);
+  }
+  if (const auto hits = server.stats().dedup_hits; hits != 0) {
+    std::fprintf(stderr,
+                 "FAIL: the fairness storm coalesced %llu jobs; every job "
+                 "must be its own solve\n",
+                 static_cast<unsigned long long>(hits));
+    return false;
+  }
+  if (!(prod->p50 < batch->p50)) {
+    std::fprintf(stderr,
+                 "FAIL: prod (weight 3) p50 wait %.3fs is not below batch "
+                 "(weight 1) p50 wait %.3fs\n",
+                 prod->p50, batch->p50);
+    return false;
   }
   const double bound = 3.0 * *serial_seconds;
   for (const auto& [name, tenant] :
@@ -340,24 +299,6 @@ int main(int argc, char** argv) {
   const std::size_t jobs_per_tenant = quick ? 8 : 24;
 
   bool ok = true;
-  Trajectory legacy, fresh;
-  if (!run_bit_identical(inst, &legacy, &fresh)) ok = false;
-  const bool identical = legacy.best_value == fresh.best_value &&
-                         legacy.total_moves == fresh.total_moves;
-  if (!identical) {
-    std::fprintf(stderr,
-                 "FAIL: single-job trajectory diverged between the legacy "
-                 "shim (%.1f in %llu moves) and SubmitRequest (%.1f in %llu)\n",
-                 legacy.best_value,
-                 static_cast<unsigned long long>(legacy.total_moves),
-                 fresh.best_value,
-                 static_cast<unsigned long long>(fresh.total_moves));
-    ok = false;
-  }
-  std::printf("bit-identical: best %.1f in %llu moves through both APIs\n",
-              fresh.best_value,
-              static_cast<unsigned long long>(fresh.total_moves));
-
   DedupOutcome dedup;
   if (!run_dedup_storm(inst, group, &dedup)) {
     std::fprintf(stderr,
@@ -392,13 +333,6 @@ int main(int argc, char** argv) {
 
   char buffer[256];
   std::string json = "{\n";
-  std::snprintf(buffer, sizeof buffer,
-                "  \"bit_identical\": {\"best\": %.1f, \"moves\": %llu, "
-                "\"identical\": %s},\n",
-                fresh.best_value,
-                static_cast<unsigned long long>(fresh.total_moves),
-                identical ? "true" : "false");
-  json += buffer;
   std::snprintf(buffer, sizeof buffer,
                 "  \"dedup_storm\": {\"group\": %zu, \"dedup_hits\": %llu, "
                 "\"one_solve\": %s},\n",

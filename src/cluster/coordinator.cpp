@@ -11,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "parallel/codec.hpp"
 #include "parallel/snapshot.hpp"
+#include "service/solver_service.hpp"
 #include "util/logging.hpp"
 
 namespace pts::cluster {
@@ -204,21 +205,15 @@ double Coordinator::jittered_backoff_locked(double base, int attempts) {
 }
 
 std::string Coordinator::make_key_locked(const service::SubmitRequest& request,
-                                         std::uint64_t content_hash) {
-  // Mirrors the service's dedup key: instance content + solve-shaped options
-  // (per-waiter urgency — priority, deadline — and machine-local paths must
-  // not fragment coalescing), plus the tenant. allow_dedup=false requests
-  // get a private nonce: they never coalesce with anything.
+                                         std::uint64_t content_hash,
+                                         bool coalesce) {
+  // The service's dedup key behind the instance content hash, so a stream
+  // coalesces on pts_cluster exactly as on pts_serve. A private nonce keeps
+  // a non-coalescing submission away from everything else.
   parallel::codec::Writer w;
   w.u64(content_hash);
-  service::JobOptions shape = request.options;
-  shape.priority = 0;
-  shape.deadline_seconds.reset();
-  shape.proc.worker_path.clear();
-  service::journal::put_job_options(w, shape);
-  w.str(request.tenant);
-  w.u8(static_cast<std::uint8_t>(request.warm_start));
-  if (!request.allow_dedup) w.u64(dedup_nonce_++);
+  w.bytes(service::solve_key_bytes(request.options, request.warm_start));
+  if (!coalesce) w.u64(dedup_nonce_++);
   auto bytes = w.take();
   return std::string(bytes.begin(), bytes.end());
 }
@@ -263,7 +258,7 @@ Expected<service::JobHandle> Coordinator::submit_locked(
   }
   const std::uint64_t content_hash =
       parallel::snapshot::instance_hash64(*request.instance);
-  std::string key = make_key_locked(request, content_hash);
+  std::string key = make_key_locked(request, content_hash, request.allow_dedup);
 
   auto waiter = std::make_unique<Waiter>();
   waiter->id = next_id_++;
@@ -286,6 +281,14 @@ Expected<service::JobHandle> Coordinator::submit_locked(
   journal_options.priority = request.priority;
 
   auto it = jobs_.find(key);
+  // The content hash only names the instance: coalescing also needs equal
+  // bytes. A colliding instance gets a private key, like a dedup opt-out.
+  if (it != jobs_.end() &&
+      parallel::snapshot::instance_bytes(*it->second->canonical.instance) !=
+          parallel::snapshot::instance_bytes(*request.instance)) {
+    key = make_key_locked(request, content_hash, /*coalesce=*/false);
+    it = jobs_.end();
+  }
   if (it != jobs_.end()) {
     // Coalesce: one more waiter on the in-flight (or pending) solve.
     ClusterJob& job = *it->second;

@@ -8,10 +8,10 @@
 // Ownership and identity. Every accepted submission gets a coordinator-side
 // JobId and a promise the coordinator ALWAYS resolves — through node death,
 // resubmission, cancel, deadline and shutdown. Identical submissions
-// (instance content hash + solve-shape options, the PR 8 dedup key) coalesce
-// into one ClusterJob with many waiters: ONE remote solve, every waiter's
-// future resolved from its result. A request with allow_dedup=false gets a
-// private key and never coalesces.
+// (equal instance bytes + service::solve_key_bytes, the service's own dedup
+// key, tenants included) coalesce into one ClusterJob with many waiters: ONE
+// remote solve, every waiter's future resolved from its result. A request
+// with allow_dedup=false gets a private key and never coalesces.
 //
 // Failover. Peer liveness is heartbeat-based (PeerPing every interval; a
 // node that misses `heartbeat_misses` intervals is declared dead — kill -9,
@@ -143,10 +143,11 @@ class Coordinator final : public net::JobGateway {
   [[nodiscard]] double now_seconds() const { return clock_.elapsed_seconds(); }
   [[nodiscard]] double jittered_backoff_locked(double base, int attempts);
 
-  /// The coalescing key: content hash + solve-shape options + tenant (or a
-  /// private nonce when dedup is off).
+  /// The coalescing key: content hash + service::solve_key_bytes, plus a
+  /// private nonce unless `coalesce`.
   [[nodiscard]] std::string make_key_locked(const service::SubmitRequest& request,
-                                            std::uint64_t content_hash);
+                                            std::uint64_t content_hash,
+                                            bool coalesce);
 
   Expected<service::JobHandle> submit_locked(service::SubmitRequest request);
   void log_append_locked(ReplicateRecord record);

@@ -1,214 +1,87 @@
 #include "parallel/snapshot.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-
-#include "parallel/codec.hpp"
 #include "parallel/wire.hpp"
 #include "util/crc32.hpp"
+#include "util/file_io.hpp"
 
 namespace pts::parallel::snapshot {
 
 namespace {
 
-using codec::Reader;
-using codec::Writer;
-
-constexpr std::uint8_t kMagic[4] = {'P', 'T', 'S', 'C'};
-
-Status corrupt(const char* what) {
-  return Status::invalid_argument(std::string("snapshot: truncated or corrupt ") +
-                                  what);
-}
-
-void put_optional_solution(Writer& w, const std::optional<mkp::Solution>& s) {
-  w.u8(s.has_value() ? 1 : 0);
-  if (s) wire::put_solution(w, *s);
-}
-
-Expected<std::optional<mkp::Solution>> get_optional_solution(
-    Reader& r, const mkp::Instance& inst) {
-  const bool present = r.u8() != 0;
-  if (!r.ok()) return corrupt("solution flag");
-  if (!present) return std::optional<mkp::Solution>{};
-  auto solution = wire::get_solution(r, inst);
-  if (!solution) return solution.status();
-  return std::optional<mkp::Solution>{*std::move(solution)};
-}
-
-void put_slave(Writer& w, const SlaveState& s) {
-  wire::put_strategy(w, s.strategy);
-  w.i32(s.score);
-  put_optional_solution(w, s.initial);
-  w.u32(static_cast<std::uint32_t>(s.b_best.size()));
-  for (const auto& solution : s.b_best) wire::put_solution(w, solution);
-  w.u64(s.rounds_unchanged);
-  w.u64(s.moves_before_round);
-  w.u64(s.consecutive_faults);
-  w.u8(s.active ? 1 : 0);
-}
-
-Expected<SlaveState> get_slave(Reader& r, const mkp::Instance& inst) {
-  SlaveState s;
-  s.strategy = wire::get_strategy(r);
-  s.score = r.i32();
-  if (!r.ok()) return corrupt("slave record");
-  auto initial = get_optional_solution(r, inst);
-  if (!initial) return initial.status();
-  s.initial = *std::move(initial);
-  const auto b_count = r.u32();
-  // A serialized solution costs at least its bitvec words.
-  if (!r.plausible_count(b_count, 8 + inst.num_items() / 8)) {
-    return corrupt("slave elite pool");
-  }
-  s.b_best.reserve(b_count);
-  for (std::uint32_t k = 0; k < b_count; ++k) {
-    auto solution = wire::get_solution(r, inst);
-    if (!solution) return solution.status();
-    s.b_best.push_back(*std::move(solution));
-  }
-  s.rounds_unchanged = static_cast<std::size_t>(r.u64());
-  s.moves_before_round = r.u64();
-  s.consecutive_faults = static_cast<std::size_t>(r.u64());
-  s.active = r.u8() != 0;
-  if (!r.ok()) return corrupt("slave record");
-  return s;
-}
-
-std::vector<std::uint8_t> encode_body(const MasterCheckpoint& cp) {
-  Writer w;
-  w.u32(cp.instance_fingerprint);
-  w.u64(cp.seed);
-  w.u32(cp.num_slaves);
-  w.u8(cp.share_solutions ? 1 : 0);
-  w.u8(cp.adapt_strategies ? 1 : 0);
-  w.u64(cp.next_round);
-  wire::put_solution(w, cp.best);
-  for (const auto word : cp.master_rng_state) w.u64(word);
-  w.u32(static_cast<std::uint32_t>(cp.slaves.size()));
-  for (const auto& slave : cp.slaves) put_slave(w, slave);
-  w.u64(cp.total_moves);
-  w.f64(cp.elapsed_seconds);
-  w.u64(cp.rounds_completed);
-  w.u64(cp.strategy_retunes);
-  w.u64(cp.global_best_injections);
-  w.u64(cp.random_restarts);
-  w.u64(cp.relink_improvements);
-  w.u64(cp.slave_faults);
-  w.u64(cp.slave_respawns);
-  // v2 core-reduction section. Always written (we always emit version 2);
-  // a disengaged run writes the single 0 flag byte.
-  w.u8(cp.core.engaged() ? 1 : 0);
-  if (cp.core.engaged()) {
-    w.u32(cp.core.full_instance_fingerprint);
-    wire::put_fixed_status(w, cp.core.status);
-  }
-  return w.take();
-}
-
-Expected<MasterCheckpoint> decode_body(std::span<const std::uint8_t> body,
-                                       std::uint8_t version,
-                                       const mkp::Instance& inst) {
-  Reader r(body);
-  MasterCheckpoint cp(inst);
-  cp.instance_fingerprint = r.u32();
-  cp.seed = r.u64();
-  cp.num_slaves = r.u32();
-  cp.share_solutions = r.u8() != 0;
-  cp.adapt_strategies = r.u8() != 0;
-  cp.next_round = r.u64();
-  if (!r.ok()) return corrupt("checkpoint header fields");
-  // Reject a foreign file before trusting any solution bits against `inst` —
-  // a checkpoint of another instance would otherwise fail with a confusing
-  // item-count or value-mismatch error deep inside the solution codec.
-  if (cp.instance_fingerprint != instance_fingerprint(inst)) {
-    return Status::invalid_argument(
-        "snapshot: checkpoint was written for a different instance "
-        "(fingerprint mismatch)");
-  }
-  auto best = wire::get_solution(r, inst);
-  if (!best) return best.status();
-  cp.best = *std::move(best);
-  for (auto& word : cp.master_rng_state) word = r.u64();
-  const auto slave_count = r.u32();
-  // Each slave record costs at least strategy + score + flags.
-  if (!r.plausible_count(slave_count, 4 * 8 + 4)) {
-    return corrupt("slave table");
-  }
-  if (slave_count != cp.num_slaves) {
-    return corrupt("slave table (count disagrees with header)");
-  }
-  cp.slaves.reserve(slave_count);
-  for (std::uint32_t k = 0; k < slave_count; ++k) {
-    auto slave = get_slave(r, inst);
-    if (!slave) return slave.status();
-    cp.slaves.push_back(*std::move(slave));
-  }
-  cp.total_moves = r.u64();
-  cp.elapsed_seconds = r.f64();
-  cp.rounds_completed = r.u64();
-  cp.strategy_retunes = r.u64();
-  cp.global_best_injections = r.u64();
-  cp.random_restarts = r.u64();
-  cp.relink_improvements = r.u64();
-  cp.slave_faults = r.u64();
-  cp.slave_respawns = r.u64();
-  if (version >= 2) {
-    const bool engaged = r.u8() != 0;
-    if (!r.ok()) return corrupt("core section flag");
-    if (engaged) {
-      cp.core.full_instance_fingerprint = r.u32();
-      if (!r.ok()) return corrupt("core section fingerprint");
-      auto status = wire::get_fixed_status(r);
-      if (!status) return status.status();
-      if (status->empty()) return corrupt("core section (engaged but empty)");
-      cp.core.status = *std::move(status);
-    }
-  }
-  if (!r.done()) return corrupt("checkpoint tail");
-  return cp;
-}
-
-/// write(2) until done; short writes happen on signals even for regular files.
-bool write_all(int fd, std::span<const std::uint8_t> bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const auto n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-Status io_error(const std::string& what) {
-  return Status::internal("snapshot: " + what + ": " + std::strerror(errno));
-}
+constexpr std::string_view kMagic = "PTSC";
 
 }  // namespace
 
+// -- Field lists of the checkpoint body. --
+
+void fields(auto& io, codec::Of<SlaveState> auto& s) {
+  fields(io, s.strategy);
+  io.i32(s.score);
+  io.maybe(s.initial, [&](auto& solution) { io.solution(solution); });
+  io.solutions(s.b_best);
+  io.u64(s.rounds_unchanged);
+  io.u64(s.moves_before_round);
+  io.u64(s.consecutive_faults);
+  io.u8(s.active);
+}
+
+void fields(auto& io, codec::Of<MasterCheckpoint> auto& cp) {
+  io.u32(cp.instance_fingerprint);
+  io.u64(cp.seed);
+  io.u32(cp.num_slaves);
+  io.u8(cp.share_solutions);
+  io.u8(cp.adapt_strategies);
+  io.u64(cp.next_round);
+  // Reject a foreign file before trusting any solution bits against the
+  // instance — a checkpoint of another instance would otherwise fail with a
+  // confusing item-count or value-mismatch error inside the solution codec.
+  io.check(io.context() == nullptr ||
+               cp.instance_fingerprint == instance_fingerprint(*io.context()),
+           "checkpoint was written for a different instance (fingerprint "
+           "mismatch)");
+  io.solution(cp.best);
+  for (auto& word : cp.master_rng_state) io.u64(word);
+  // Each slave record costs at least strategy + score + flags.
+  io.seq(cp.slaves, 4 * 8 + 4, codec::kAnyCount, [&](auto& s) { fields(io, s); });
+  io.check(cp.slaves.size() == cp.num_slaves,
+           "slave table count disagrees with the header");
+  io.u64(cp.total_moves);
+  io.f64(cp.elapsed_seconds);
+  io.u64(cp.rounds_completed);
+  io.u64(cp.strategy_retunes);
+  io.u64(cp.global_best_injections);
+  io.u64(cp.random_restarts);
+  io.u64(cp.relink_improvements);
+  io.u64(cp.slave_faults);
+  io.u64(cp.slave_respawns);
+  // v2: the core-reduction section — an engaged flag, then (only when
+  // engaged) the full instance's fingerprint and the fixing status.
+  if (io.since(2)) {
+    bool engaged = cp.core.engaged();
+    io.u8(engaged);
+    if (engaged) {
+      io.u32(cp.core.full_instance_fingerprint);
+      wire::fixed_status(io, cp.core.status);
+      io.check(!cp.core.status.empty(), "core section is engaged but empty");
+    }
+  }
+}
+
+std::vector<std::uint8_t> instance_bytes(const mkp::Instance& inst) {
+  codec::Writer w;
+  w.instance(inst);
+  return w.take();
+}
+
 std::uint32_t instance_fingerprint(const mkp::Instance& inst) {
-  Writer w;
-  wire::put_instance(w, inst);
-  const auto bytes = w.take();
-  return crc32(bytes);
+  return crc32(instance_bytes(inst));
 }
 
 std::uint64_t instance_hash64(const mkp::Instance& inst) {
-  Writer w;
-  wire::put_instance(w, inst);
-  const auto bytes = w.take();
   // FNV-1a 64: tiny, stable across platforms, and strong enough for a
   // byte-verified content index.
   std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const std::uint8_t b : bytes) {
+  for (const std::uint8_t b : instance_bytes(inst)) {
     h ^= b;
     h *= 0x100000001b3ull;
   }
@@ -216,50 +89,16 @@ std::uint64_t instance_hash64(const mkp::Instance& inst) {
 }
 
 std::vector<std::uint8_t> encode_checkpoint(const MasterCheckpoint& checkpoint) {
-  const auto body = encode_body(checkpoint);
-  Writer header;
-  for (const auto b : kMagic) header.u8(b);
-  header.u8(kSnapshotVersion);
-  header.u32(crc32(body));
-  header.u64(body.size());
-  auto out = header.take();
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+  return codec::seal(kMagic, kSnapshotVersion, codec::encode(checkpoint));
 }
 
 Expected<MasterCheckpoint> decode_checkpoint(std::span<const std::uint8_t> bytes,
                                              const mkp::Instance& inst) {
-  if (bytes.size() < kSnapshotHeaderBytes) {
-    return corrupt("header (file too short)");
-  }
-  Reader r(bytes.first(kSnapshotHeaderBytes));
-  std::uint8_t magic[4];
-  for (auto& b : magic) b = r.u8();
-  const auto version = r.u8();
-  const auto crc = r.u32();
-  const auto body_size = r.u64();
-  if (std::memcmp(magic, kMagic, 4) != 0) {
-    return Status::invalid_argument("snapshot: bad magic (not a checkpoint file)");
-  }
-  if (version < kSnapshotMinVersion || version > kSnapshotVersion) {
-    return Status::invalid_argument(
-        "snapshot: unsupported version " + std::to_string(version) +
-        " (accepted " + std::to_string(kSnapshotMinVersion) + ".." +
-        std::to_string(kSnapshotVersion) + ")");
-  }
-  if (body_size > kMaxBodyBytes) {
-    return Status::invalid_argument("snapshot: body length " +
-                                    std::to_string(body_size) +
-                                    " exceeds the checkpoint ceiling");
-  }
-  if (body_size != bytes.size() - kSnapshotHeaderBytes) {
-    return corrupt("body (length prefix disagrees with file size)");
-  }
-  const auto body = bytes.subspan(kSnapshotHeaderBytes);
-  if (crc32(body) != crc) {
-    return Status::invalid_argument("snapshot: CRC mismatch (corrupt checkpoint)");
-  }
-  return decode_body(body, version, inst);
+  const auto sealed = codec::unseal(bytes, kMagic, kSnapshotMinVersion,
+                                    kSnapshotVersion, kMaxBodyBytes, "snapshot");
+  if (!sealed) return sealed.status();
+  return codec::decode<MasterCheckpoint>(sealed->body, "snapshot", &inst,
+                                         sealed->version);
 }
 
 Status save_checkpoint(const std::string& path,
@@ -267,72 +106,21 @@ Status save_checkpoint(const std::string& path,
   if (path.empty()) {
     return Status::invalid_argument("snapshot: empty checkpoint path");
   }
-  const auto image = encode_checkpoint(checkpoint);
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return io_error("open " + tmp);
-  if (!write_all(fd, image)) {
-    const auto status = io_error("write " + tmp);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return status;
-  }
-  // fsync before rename: the rename must never become visible while the data
-  // behind it is still only in the page cache — that ordering is the whole
-  // crash-safety argument.
-  if (::fsync(fd) != 0) {
-    const auto status = io_error("fsync " + tmp);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return status;
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const auto status = io_error("rename " + tmp + " -> " + path);
-    ::unlink(tmp.c_str());
-    return status;
-  }
-  // Persist the rename itself. Failure here is not fatal to correctness of
-  // the file contents (the data is synced), so report success but still try.
-  const auto dir = std::filesystem::path(path).parent_path();
-  const std::string dir_path = dir.empty() ? "." : dir.string();
-  const int dir_fd = ::open(dir_path.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd >= 0) {
-    ::fsync(dir_fd);
-    ::close(dir_fd);
-  }
-  return Status{};
+  const auto written = replace_file(path, path + ".tmp",
+                                    encode_checkpoint(checkpoint), "snapshot");
+  return written ? Status{} : written.status();
 }
 
 Expected<MasterCheckpoint> load_checkpoint(const std::string& path,
                                            const mkp::Instance& inst) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) {
-      return Status::unavailable("snapshot: no checkpoint at " + path);
-    }
-    return io_error("open " + path);
+  constexpr std::size_t kMaxFileBytes = kMaxBodyBytes + kSnapshotHeaderBytes;
+  const auto bytes = read_file(path, "snapshot", kMaxFileBytes + 1);
+  if (!bytes) return bytes.status();
+  if (bytes->size() > kMaxFileBytes) {
+    return Status::invalid_argument(
+        "snapshot: file exceeds the checkpoint ceiling");
   }
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[1 << 16];
-  for (;;) {
-    const auto n = ::read(fd, buf, sizeof buf);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const auto status = io_error("read " + path);
-      ::close(fd);
-      return status;
-    }
-    if (n == 0) break;
-    bytes.insert(bytes.end(), buf, buf + n);
-    if (bytes.size() > kMaxBodyBytes + kSnapshotHeaderBytes) {
-      ::close(fd);
-      return Status::invalid_argument(
-          "snapshot: file exceeds the checkpoint ceiling");
-    }
-  }
-  ::close(fd);
-  return decode_checkpoint(bytes, inst);
+  return decode_checkpoint(*bytes, inst);
 }
 
 Status check_compatible(const MasterCheckpoint& checkpoint,

@@ -10,21 +10,21 @@
 // restoring the master restores the whole run — a resumed run replays the
 // exact draw sequence of an uninterrupted one (bit-identical final best).
 //
-// File layout (little-endian, via parallel/codec.hpp):
+// File layout: a codec::seal container (parallel/codec.hpp) —
 //
 //   offset 0   u8[4]  magic   'P' 'T' 'S' 'C'
 //   offset 4   u8     version kSnapshotVersion
 //   offset 5   u32    crc     CRC-32 (util/crc32.hpp) of the body bytes
 //   offset 9   u64    size    body byte count
-//   offset 17  ...    body    codec-encoded MasterCheckpoint
+//   offset 17  ...    body    MasterCheckpoint's field list (snapshot.cpp)
 //
-// Writes are atomic: body to `path.tmp`, fsync, rename over `path`, fsync the
-// directory — a crash mid-write leaves either the old checkpoint or the new
-// one, never a torn file. The loader is total in the wire.cpp sense: short
-// headers, bad magic/version, size mismatches, CRC failures and truncated or
-// over-counted sections all come back as a Status, never a crash or an
-// unbounded allocation; solutions are revalidated against the instance
-// (bit/value consistency) exactly as frames from a worker are.
+// Writes are atomic (util/file_io.hpp replace_file): a crash mid-write
+// leaves either the old checkpoint or the new one, never a torn file. The
+// loader is total: short headers, bad magic/version, size mismatches, CRC
+// failures and truncated or over-counted sections all come back as a Status,
+// never a crash or an unbounded allocation; solutions are revalidated
+// against the instance (bit/value consistency) exactly as frames from a
+// worker are.
 
 #include <array>
 #include <cstdint>
@@ -36,6 +36,7 @@
 #include "bounds/reduction.hpp"
 #include "mkp/instance.hpp"
 #include "mkp/solution.hpp"
+#include "parallel/codec.hpp"
 #include "tabu/strategy.hpp"
 #include "util/status.hpp"
 
@@ -45,7 +46,7 @@ namespace pts::parallel::snapshot {
 /// still accepted — they decode with an empty (disengaged) core section.
 inline constexpr std::uint8_t kSnapshotVersion = 2;
 inline constexpr std::uint8_t kSnapshotMinVersion = 1;
-inline constexpr std::size_t kSnapshotHeaderBytes = 17;
+inline constexpr std::size_t kSnapshotHeaderBytes = codec::kSealHeaderBytes;
 
 /// Ceiling on one checkpoint body, mirroring wire::kMaxPayloadBytes: a
 /// corrupt size field must be rejected before any allocation happens.
@@ -125,6 +126,10 @@ struct MasterCheckpoint {
   CoreSection core;
 };
 
+/// The canonical wire encoding of an instance (codec::Writer::instance):
+/// what a worker handshake carries and what both identities below hash.
+[[nodiscard]] std::vector<std::uint8_t> instance_bytes(const mkp::Instance& inst);
+
 /// Identity hash of an instance: CRC-32 over its wire encoding (name, sizes,
 /// profits, weights, capacities, known optimum). Two instances fingerprint
 /// equal iff a worker handshake would serialize them identically.
@@ -149,7 +154,7 @@ struct MasterCheckpoint {
 
 // -- File I/O. --
 
-/// Atomic write: `path.tmp` + fsync + rename + directory fsync.
+/// Atomic write via `path.tmp` (replace_file).
 [[nodiscard]] Status save_checkpoint(const std::string& path,
                                      const MasterCheckpoint& checkpoint);
 

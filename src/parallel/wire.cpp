@@ -1,232 +1,9 @@
 #include "parallel/wire.hpp"
 
-#include <algorithm>
-#include <bit>
-#include <cmath>
-#include <cstring>
-
 namespace pts::parallel::wire {
 
-// Byte-level primitives live in parallel/codec.hpp, shared with the on-disk
-// snapshot and journal formats so the fuzz tests here pin all three down.
-using codec::Reader;
-using codec::Writer;
-
-namespace {
-
-Status truncated(const char* what) {
-  return Status::invalid_argument(std::string("wire: truncated or corrupt ") +
-                                  what + " payload");
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Sub-codecs. put_* appends into an open Writer; get_* consumes from a
-// Reader (failures latch in the reader; callers check once).
-// ---------------------------------------------------------------------------
-
-void put_solution(Writer& w, const mkp::Solution& solution) {
-  w.u32(static_cast<std::uint32_t>(solution.num_items()));
-  const auto& words = solution.bits().words();
-  w.u32(static_cast<std::uint32_t>(words.size()));
-  for (const auto word : words) w.u64(word);
-  w.f64(solution.value());
-}
-
-Expected<mkp::Solution> get_solution(Reader& r, const mkp::Instance& inst) {
-  const auto n_bits = r.u32();
-  const auto n_words = r.u32();
-  if (!r.ok()) return truncated("solution");
-  if (n_bits != inst.num_items()) {
-    return Status::invalid_argument(
-        "wire: solution is over " + std::to_string(n_bits) +
-        " items but the instance has " + std::to_string(inst.num_items()));
-  }
-  if (n_words != (n_bits + 63) / 64 || !r.plausible_count(n_words, 8)) {
-    return truncated("solution bitvec");
-  }
-  mkp::Solution solution(inst);
-  for (std::uint32_t k = 0; k < n_words; ++k) {
-    std::uint64_t word = r.u64();
-    if (!r.ok()) return truncated("solution bitvec");
-    while (word != 0) {
-      const auto bit = static_cast<std::size_t>(std::countr_zero(word));
-      const std::size_t j = k * 64 + bit;
-      if (j >= inst.num_items()) {
-        return Status::invalid_argument("wire: solution has bits past item count");
-      }
-      solution.add(j);
-      word &= word - 1;
-    }
-  }
-  const double claimed = r.f64();
-  if (!r.ok()) return truncated("solution");
-  // Integrity check: the serialized value must match what the bits imply.
-  // A mismatch means the frame was corrupted in flight (or the peer runs a
-  // different objective) — poisoning the master's incumbent would be silent
-  // and permanent, so reject the message instead.
-  const double rebuilt = solution.value();
-  const double tol = 1e-6 * std::max(1.0, std::abs(rebuilt));
-  if (!(std::abs(claimed - rebuilt) <= tol)) {
-    return Status::invalid_argument("wire: solution value does not match its bits");
-  }
-  return solution;
-}
-
-void put_strategy(Writer& w, const tabu::Strategy& s) {
-  w.u64(s.tabu_tenure);
-  w.u64(s.nb_drop);
-  w.u64(s.nb_local);
-  w.u64(s.nb_candidates);
-}
-
-tabu::Strategy get_strategy(Reader& r) {
-  tabu::Strategy s;
-  s.tabu_tenure = static_cast<std::size_t>(r.u64());
-  s.nb_drop = static_cast<std::size_t>(r.u64());
-  s.nb_local = static_cast<std::size_t>(r.u64());
-  s.nb_candidates = static_cast<std::size_t>(r.u64());
-  return s;
-}
-
-void put_instance(Writer& w, const mkp::Instance& inst) {
-  w.str(inst.name());
-  w.u32(static_cast<std::uint32_t>(inst.num_items()));
-  w.u32(static_cast<std::uint32_t>(inst.num_constraints()));
-  w.f64_span(inst.profits());
-  for (std::size_t i = 0; i < inst.num_constraints(); ++i) {
-    w.f64_span(inst.weights_row(i));
-  }
-  w.f64_span(inst.capacities());
-  w.u8(inst.known_optimum().has_value() ? 1 : 0);
-  w.f64(inst.known_optimum().value_or(0.0));
-}
-
-Expected<mkp::Instance> get_instance(Reader& r) {
-  auto name = r.str(/*max_len=*/4096);
-  const auto n = r.u32();
-  const auto m = r.u32();
-  if (!r.ok()) return truncated("instance");
-  if (n == 0 || m == 0) {
-    return Status::invalid_argument("wire: serialized instance is empty");
-  }
-  // Every matrix entry still has to fit in the remaining payload.
-  if (!r.plausible_count(static_cast<std::uint64_t>(n) * m + n + m, 8)) {
-    return truncated("instance matrix");
-  }
-  auto profits = r.f64_vec(n);
-  auto weights = r.f64_vec(static_cast<std::size_t>(n) * m);
-  auto capacities = r.f64_vec(m);
-  const bool has_opt = r.u8() != 0;
-  const double opt = r.f64();
-  if (!r.ok()) return truncated("instance");
-  mkp::Instance inst(std::move(name), std::move(profits), std::move(weights),
-                     std::move(capacities));
-  if (has_opt) inst.set_known_optimum(opt);
-  return inst;
-}
-
-void put_fixed_status(Writer& w, std::span<const bounds::FixedValue> status) {
-  w.u32(static_cast<std::uint32_t>(status.size()));
-  for (const auto value : status) w.u8(static_cast<std::uint8_t>(value));
-}
-
-Expected<std::vector<bounds::FixedValue>> get_fixed_status(Reader& r) {
-  const auto count = r.u32();
-  if (!r.ok() || !r.plausible_count(count, 1)) {
-    return truncated("fixing status");
-  }
-  std::vector<bounds::FixedValue> status;
-  status.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    const auto byte = r.u8();
-    if (byte > static_cast<std::uint8_t>(bounds::FixedValue::kOne)) {
-      return Status::invalid_argument(
-          "wire: fixing status byte is not a FixedValue");
-    }
-    status.push_back(static_cast<bounds::FixedValue>(byte));
-  }
-  if (!r.ok()) return truncated("fixing status");
-  return status;
-}
-
-namespace {
-
-void put_params(Writer& w, const tabu::TsParams& p) {
-  put_strategy(w, p.strategy);
-  w.u64(p.nb_div);
-  w.u64(p.nb_int);
-  w.u64(p.b_best);
-  w.u8(static_cast<std::uint8_t>(p.intensification));
-  w.u64(p.oscillation_depth);
-  w.u8(static_cast<std::uint8_t>(p.tenure_control));
-  w.f64(p.high_frequency);
-  w.f64(p.low_frequency);
-  w.u64(p.diversify_hold);
-  w.u64(p.max_moves);
-  w.f64(p.time_limit_seconds);
-  w.u8(p.target_value.has_value() ? 1 : 0);
-  w.f64(p.target_value.value_or(0.0));
-  w.u8(p.run_to_budget ? 1 : 0);
-  // TsParams::cancel deliberately does not travel: a process boundary has no
-  // shared stop flag. The proc backend stops workers via Stop frames and, in
-  // the limit, SIGKILL (see proc_backend.hpp).
-}
-
-tabu::TsParams get_params(Reader& r) {
-  tabu::TsParams p;
-  p.strategy = get_strategy(r);
-  p.nb_div = static_cast<std::size_t>(r.u64());
-  p.nb_int = static_cast<std::size_t>(r.u64());
-  p.b_best = static_cast<std::size_t>(r.u64());
-  p.intensification = static_cast<tabu::IntensificationKind>(r.u8());
-  p.oscillation_depth = static_cast<std::size_t>(r.u64());
-  p.tenure_control = static_cast<tabu::TenureControl>(r.u8());
-  p.high_frequency = r.f64();
-  p.low_frequency = r.f64();
-  p.diversify_hold = static_cast<std::size_t>(r.u64());
-  p.max_moves = r.u64();
-  p.time_limit_seconds = r.f64();
-  const bool has_target = r.u8() != 0;
-  const double target = r.f64();
-  if (has_target) p.target_value = target;
-  p.run_to_budget = r.u8() != 0;
-  return p;
-}
-
-void put_counters(Writer& w, const obs::Counters& counters) {
-  w.u32(static_cast<std::uint32_t>(obs::kCounterCount));
-  for (const auto slot : counters.slots) w.u64(slot);
-}
-
-bool get_counters(Reader& r, obs::Counters& counters) {
-  const auto count = r.u32();
-  // Strict: both ends are built from the same taxonomy; a mismatch means a
-  // version skew the header byte should have caught.
-  if (count != obs::kCounterCount || !r.plausible_count(count, 8)) return false;
-  for (auto& slot : counters.slots) slot = r.u64();
-  return r.ok();
-}
-
-std::vector<std::uint8_t> finish_frame(MessageType type, Writer payload_writer) {
-  auto payload = payload_writer.take();
-  PTS_CHECK_MSG(payload.size() <= kMaxPayloadBytes,
-                "outgoing frame exceeds kMaxPayloadBytes");
-  Writer frame;
-  frame.u16(kMagic);
-  frame.u8(kVersion);
-  frame.u8(static_cast<std::uint8_t>(type));
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  auto out = frame.take();
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
-
-}  // namespace
-
 Expected<FrameHeader> decode_header(std::span<const std::uint8_t> bytes) {
-  Reader r(bytes);
+  codec::Reader r(bytes);
   FrameHeader header;
   const auto magic = r.u16();
   header.version = r.u8();
@@ -261,258 +38,26 @@ Expected<FrameHeader> decode_header(std::span<const std::uint8_t> bytes) {
   return header;
 }
 
-std::vector<std::uint8_t> encode_hello(const Hello& hello) {
-  Writer w;
-  w.u32(hello.slave_id);
-  w.u64(hello.seed);
-  put_instance(w, hello.instance);
-  w.u8(hello.flags);
-  return finish_frame(MessageType::kHello, std::move(w));
-}
-
-Expected<Hello> decode_hello(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  const auto slave_id = r.u32();
-  const auto seed = r.u64();
-  if (!r.ok()) return truncated("hello");
-  auto inst = get_instance(r);
-  if (!inst) return inst.status();
-  const auto flags = r.u8();
-  if (!r.ok() || !r.done()) return truncated("hello");
-  return Hello{slave_id, seed, *std::move(inst), flags};
-}
-
-std::vector<std::uint8_t> encode_telemetry_chunk(const TelemetryChunk& chunk) {
-  Writer w;
-  w.u32(chunk.slave_id);
-  w.u64(static_cast<std::uint64_t>(chunk.worker_now_us));
-  w.u32(static_cast<std::uint32_t>(chunk.events.size()));
-  for (const auto& event : chunk.events) {
-    w.str(event.name);
-    w.u8(static_cast<std::uint8_t>(event.phase));
-    w.u32(event.tid);
-    w.u64(static_cast<std::uint64_t>(event.ts_us));
-    w.u64(static_cast<std::uint64_t>(event.dur_us));
-    w.u32(static_cast<std::uint32_t>(event.args.size()));
-    for (const auto& [key, value] : event.args) {
-      w.str(key);
-      w.f64(value);
-    }
-    w.u8(event.has_detail ? 1 : 0);
-    if (event.has_detail) {
-      w.str(event.detail_key);
-      w.str(event.detail);
-    }
-  }
-  w.u32(static_cast<std::uint32_t>(chunk.counter_deltas.size()));
-  for (const auto& [name, delta] : chunk.counter_deltas) {
-    w.str(name);
-    w.u64(delta);
-  }
-  return finish_frame(MessageType::kTelemetry, std::move(w));
-}
-
-Expected<TelemetryChunk> decode_telemetry_chunk(
-    std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  TelemetryChunk chunk;
-  chunk.slave_id = r.u32();
-  chunk.worker_now_us = static_cast<std::int64_t>(r.u64());
-  const auto event_count = r.u32();
-  // A serialized event costs at least name-length + fixed fields.
-  if (!r.ok() || !r.plausible_count(event_count, 24)) {
-    return truncated("telemetry chunk");
-  }
-  chunk.events.reserve(event_count);
-  for (std::uint32_t k = 0; k < event_count; ++k) {
-    ChunkEvent event;
-    event.name = r.str(/*max_len=*/256);
-    const auto phase = r.u8();
-    // The tracer only ever emits these phases; anything else is corruption.
-    if (phase != 'X' && phase != 'i' && phase != 'C' && phase != 'M') {
-      return Status::invalid_argument("wire: telemetry event has unknown phase");
-    }
-    event.phase = static_cast<char>(phase);
-    event.tid = r.u32();
-    event.ts_us = static_cast<std::int64_t>(r.u64());
-    event.dur_us = static_cast<std::int64_t>(r.u64());
-    const auto arg_count = r.u32();
-    if (!r.ok() || arg_count > 64 || !r.plausible_count(arg_count, 10)) {
-      return truncated("telemetry event args");
-    }
-    event.args.reserve(arg_count);
-    for (std::uint32_t a = 0; a < arg_count; ++a) {
-      auto key = r.str(/*max_len=*/256);
-      const auto value = r.f64();
-      event.args.emplace_back(std::move(key), value);
-    }
-    event.has_detail = r.u8() != 0;
-    if (event.has_detail) {
-      event.detail_key = r.str(/*max_len=*/256);
-      event.detail = r.str(/*max_len=*/4096);
-    }
-    if (!r.ok()) return truncated("telemetry event");
-    chunk.events.push_back(std::move(event));
-  }
-  const auto delta_count = r.u32();
-  if (!r.ok() || !r.plausible_count(delta_count, 10)) {
-    return truncated("telemetry counter deltas");
-  }
-  chunk.counter_deltas.reserve(delta_count);
-  for (std::uint32_t k = 0; k < delta_count; ++k) {
-    auto name = r.str(/*max_len=*/256);
-    const auto delta = r.u64();
-    chunk.counter_deltas.emplace_back(std::move(name), delta);
-  }
-  if (!r.done()) return truncated("telemetry chunk");
-  return chunk;
-}
-
-std::vector<std::uint8_t> encode_to_slave(const ToSlave& message) {
-  if (std::holds_alternative<Stop>(message)) {
-    return finish_frame(MessageType::kStop, Writer{});
-  }
-  const auto& a = std::get<Assignment>(message);
-  Writer w;
-  w.u64(a.round);
-  put_solution(w, a.initial);
-  put_params(w, a.params);
-  return finish_frame(MessageType::kAssignment, std::move(w));
-}
-
-Expected<ToSlave> decode_to_slave(MessageType type,
-                                  std::span<const std::uint8_t> payload,
-                                  const mkp::Instance& inst) {
-  switch (type) {
-    case MessageType::kStop:
-      if (!payload.empty()) return truncated("stop");
-      return ToSlave{Stop{}};
-    case MessageType::kAssignment: {
-      Reader r(payload);
-      const auto round = static_cast<std::size_t>(r.u64());
-      if (!r.ok()) return truncated("assignment");
-      auto initial = get_solution(r, inst);
-      if (!initial) return initial.status();
-      auto params = get_params(r);
-      if (!r.done()) return truncated("assignment");
-      return ToSlave{Assignment{round, *std::move(initial), params}};
-    }
-    default:
-      return Status::invalid_argument("wire: unexpected master->slave type " +
-                                      std::to_string(static_cast<int>(type)));
-  }
-}
-
-std::vector<std::uint8_t> encode_from_slave(const FromSlave& message) {
-  if (const auto* fault = std::get_if<SlaveFault>(&message)) {
-    Writer w;
-    w.u32(static_cast<std::uint32_t>(fault->slave_id));
-    w.u64(fault->round);
-    w.str(fault->what);
-    return finish_frame(MessageType::kFault, std::move(w));
-  }
-  const auto& report = std::get<Report>(message);
-  Writer w;
-  w.u32(static_cast<std::uint32_t>(report.slave_id));
-  w.u64(report.round);
-  w.f64(report.initial_value);
-  w.f64(report.final_value);
-  w.u32(static_cast<std::uint32_t>(report.elite.size()));
-  for (const auto& solution : report.elite) put_solution(w, solution);
-  w.u64(report.moves);
-  w.f64(report.seconds);
-  w.u8(report.reached_target ? 1 : 0);
-  put_counters(w, report.counters);
-  w.u32(static_cast<std::uint32_t>(report.anytime.size()));
-  for (const auto& sample : report.anytime) {
-    w.i32(sample.source);
-    w.f64(sample.seconds);
-    w.u64(sample.work_units);
-    w.f64(sample.value);
-  }
-  return finish_frame(MessageType::kReport, std::move(w));
-}
-
-Expected<FromSlave> decode_from_slave(MessageType type,
-                                      std::span<const std::uint8_t> payload,
-                                      const mkp::Instance& inst) {
-  Reader r(payload);
-  switch (type) {
-    case MessageType::kFault: {
-      SlaveFault fault;
-      fault.slave_id = static_cast<std::size_t>(r.u32());
-      fault.round = static_cast<std::size_t>(r.u64());
-      fault.what = r.str(/*max_len=*/65536);
-      if (!r.done()) return truncated("fault");
-      return FromSlave{std::move(fault)};
-    }
-    case MessageType::kReport: {
-      Report report;
-      report.slave_id = static_cast<std::size_t>(r.u32());
-      report.round = static_cast<std::size_t>(r.u64());
-      report.initial_value = r.f64();
-      report.final_value = r.f64();
-      const auto elite_count = r.u32();
-      // A solution costs at least its bitvec words on the wire.
-      if (!r.plausible_count(elite_count, 8 + inst.num_items() / 8)) {
-        return truncated("report elite");
-      }
-      report.elite.reserve(elite_count);
-      for (std::uint32_t k = 0; k < elite_count; ++k) {
-        auto solution = get_solution(r, inst);
-        if (!solution) return solution.status();
-        report.elite.push_back(*std::move(solution));
-      }
-      report.moves = r.u64();
-      report.seconds = r.f64();
-      report.reached_target = r.u8() != 0;
-      if (!get_counters(r, report.counters)) return truncated("report counters");
-      const auto sample_count = r.u32();
-      if (!r.plausible_count(sample_count, 28)) return truncated("report anytime");
-      report.anytime.reserve(sample_count);
-      for (std::uint32_t k = 0; k < sample_count; ++k) {
-        obs::AnytimeSample sample;
-        sample.source = r.i32();
-        sample.seconds = r.f64();
-        sample.work_units = r.u64();
-        sample.value = r.f64();
-        report.anytime.push_back(sample);
-      }
-      if (!r.done()) return truncated("report");
-      return FromSlave{std::move(report)};
-    }
-    default:
-      return Status::invalid_argument("wire: unexpected slave->master type " +
-                                      std::to_string(static_cast<int>(type)));
-  }
-}
-
 std::vector<std::uint8_t> encode_solution(const mkp::Solution& solution) {
-  Writer w;
-  put_solution(w, solution);
+  codec::Writer w;
+  w.solution(solution);
   return w.take();
 }
 
 Expected<mkp::Solution> decode_solution(std::span<const std::uint8_t> bytes,
                                         const mkp::Instance& inst) {
-  Reader r(bytes);
-  auto solution = get_solution(r, inst);
-  if (!solution) return solution.status();
-  if (!r.done()) return truncated("solution");
+  codec::Reader r(bytes, &inst);
+  mkp::Solution solution(inst);
+  r.solution(solution);
+  if (!r.done()) return r.error("wire: solution");
   return solution;
 }
 
-std::vector<std::uint8_t> encode_strategy(const tabu::Strategy& strategy) {
-  Writer w;
-  put_strategy(w, strategy);
-  return w.take();
-}
-
-Expected<tabu::Strategy> decode_strategy(std::span<const std::uint8_t> bytes) {
-  Reader r(bytes);
-  auto strategy = get_strategy(r);
-  if (!r.done()) return truncated("strategy");
-  return strategy;
+Expected<std::vector<bounds::FixedValue>> get_fixed_status(codec::Reader& r) {
+  std::vector<bounds::FixedValue> status;
+  fixed_status(r, status);
+  if (!r.ok()) return r.error("wire: fixing status");
+  return status;
 }
 
 }  // namespace pts::parallel::wire

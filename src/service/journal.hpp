@@ -21,9 +21,10 @@
 // instant between its run and the resolved-record fsync runs again after
 // restart, which is safe because solves are idempotent.
 //
-// The instance travels via wire::put_instance / get_instance and the options
-// via the codec conventions of parallel/codec.hpp, so the journal inherits
-// the bounds-checked total-decoder behavior the wire fuzz tests pin down.
+// Record bodies are codec field lists (parallel/codec.hpp; the bodies in
+// journal.cpp, JobOptions below), so the journal inherits the bounds-checked
+// total decoder the wire fuzz tests pin down. Fields a later version added
+// sit behind io.since(v): replay reads a file at its header version.
 
 #include <cstdint>
 #include <memory>
@@ -166,7 +167,7 @@ class JobJournal {
 [[nodiscard]] Expected<std::vector<RecoveredJob>> recover_jobs(
     const std::string& path);
 
-// -- Sub-codecs, exposed for the recover-label fuzz tests. --
+// -- The options sub-codec, exposed for the recover-label fuzz tests. --
 
 void put_job_options(parallel::codec::Writer& w, const JobOptions& options);
 /// `version` is the journal file's header version: v1 bodies end before the
@@ -175,3 +176,34 @@ void put_job_options(parallel::codec::Writer& w, const JobOptions& options);
     parallel::codec::Reader& r, std::uint8_t version = kJournalVersion);
 
 }  // namespace pts::service::journal
+
+namespace pts::service {
+
+/// JobOptions as the journal, the client protocol and the peer frames carry
+/// them. v2 appended core_reduction.
+void fields(auto& io, parallel::codec::Of<JobOptions> auto& o) {
+  io.str(o.preset, 256);
+  io.f64(o.time_budget_seconds);
+  io.opt(o.deadline_seconds);
+  io.i32(o.priority);
+  io.u64(o.seed);
+  io.opt(o.target_value);
+  io.opt(o.mode, [&](auto& mode) {
+    io.en(mode, parallel::CooperationMode::kCooperativeAdaptive);
+  });
+  io.opt(o.backend,
+         [&](auto& backend) { io.en(backend, parallel::Backend::kProcess); });
+  // The proc farm shape: a resumed proc job must respawn the same workers
+  // under the same recovery policy.
+  io.str(o.proc.worker_path, 4096);
+  io.f64(o.proc.worker_timeout_seconds);
+  io.u64(o.proc.max_respawns_per_slave);
+  io.f64(o.proc.respawn_backoff_base_seconds);
+  io.f64(o.proc.respawn_backoff_cap_seconds);
+  io.u64(o.proc.breaker_threshold);
+  io.f64(o.proc.breaker_window_seconds);
+  io.f64(o.proc.breaker_cooloff_seconds);
+  if (io.since(2)) io.u8(o.core_reduction);
+}
+
+}  // namespace pts::service

@@ -37,22 +37,19 @@ std::string tenant_metric(const TenantId& tenant, const char* suffix) {
   return name;
 }
 
-/// The dedup identity of a submission's solve shape: its options serialized
-/// with the per-caller fields (priority, deadline) neutralized, plus the
-/// warm-start policy. Two submissions coalesce only when this — and the
-/// instance bytes — match, so sharing a solve never changes what runs.
+}  // namespace
+
 std::vector<std::uint8_t> solve_key_bytes(const JobOptions& options,
                                           WarmStartPolicy warm_start) {
   JobOptions shape = options;
   shape.priority = 0;
   shape.deadline_seconds.reset();
+  shape.proc.worker_path.clear();
   parallel::codec::Writer w;
-  journal::put_job_options(w, shape);
+  fields(w, shape);
   w.u8(static_cast<std::uint8_t>(warm_start));
   return w.take();
 }
-
-}  // namespace
 
 /// One submission's stake in a solve: its own identity, deadline, journal
 /// record and promise. A job starts with one waiter; dedup attaches more.
@@ -176,31 +173,6 @@ Expected<JobHandle> SolverService::submit(SubmitRequest request) {
   return handle;
 }
 
-SolverService::Submission SolverService::submit(mkp::Instance instance,
-                                                JobOptions options) {
-  SubmitRequest request;
-  request.instance =
-      std::make_shared<const mkp::Instance>(std::move(instance));
-  request.priority = options.priority;
-  request.deadline_seconds = options.deadline_seconds;
-  request.allow_dedup = false;  // the positional contract: one submit, one run
-  request.options = std::move(options);
-  auto outcome = submit_full(std::move(request), JobOrigin::kFresh);
-  return Submission{outcome.id, std::move(outcome.future)};
-}
-
-SolverService::Submission SolverService::submit(
-    std::shared_ptr<const mkp::Instance> instance, JobOptions options) {
-  SubmitRequest request;
-  request.instance = std::move(instance);
-  request.priority = options.priority;
-  request.deadline_seconds = options.deadline_seconds;
-  request.allow_dedup = false;
-  request.options = std::move(options);
-  auto outcome = submit_full(std::move(request), JobOrigin::kFresh);
-  return Submission{outcome.id, std::move(outcome.future)};
-}
-
 std::vector<SolverService::Submission> SolverService::take_recovered() {
   std::lock_guard lock(mutex_);
   return std::move(recovered_);
@@ -269,8 +241,8 @@ SolverService::SubmitOutcome SolverService::submit_full(
   out.id = waiter->id;
 
   // Validation: every failure is a structured Status, never an abort. The
-  // future is resolved with it too, so the positional shim keeps the old
-  // resolved-future contract.
+  // future is resolved with it too, so a journal-recovered job (whose only
+  // handle is its future, via take_recovered) sees the refusal there.
   Status invalid;
   std::optional<parallel::ParallelConfig> preset;
   if (!waiter->instance) {
@@ -351,11 +323,7 @@ SolverService::SubmitOutcome SolverService::submit_full(
   }
 
   // Content address: hash and bytes of the canonical wire serialization.
-  {
-    parallel::codec::Writer w;
-    parallel::wire::put_instance(w, *job->instance);
-    job->instance_bytes = w.take();
-  }
+  job->instance_bytes = parallel::snapshot::instance_bytes(*job->instance);
   job->content_hash = parallel::snapshot::instance_hash64(*job->instance);
   job->solve_key = solve_key_bytes(job->options, job->warm_start);
   out.content_hash = job->content_hash;

@@ -13,8 +13,7 @@
 // whose instance bytes AND solve-shaped options match an in-flight job
 // attaches to that job as an extra *waiter* instead of enqueuing a new
 // solve — one run fans out to every waiter's future, each with its own
-// deadline semantics. A positional submit(instance, options) shim keeps the
-// old resolved-future error contract for one release.
+// deadline semantics.
 //
 // Scheduling. A scheduler thread dispatches whenever capacity frees up.
 // Jobs resumed from the journal go absolutely first, in their original
@@ -73,6 +72,15 @@
 
 namespace pts::service {
 
+/// The dedup identity of a submission's solve shape: its options with the
+/// per-caller fields (priority, deadline) and the machine-local worker path
+/// neutralized, plus the warm-start policy. Submissions share one solve only
+/// when this AND their instance bytes match, so sharing never changes what
+/// runs. The tenant is not part of it: identical work coalesces across
+/// tenants. SolverService and the cluster Coordinator both key on it.
+[[nodiscard]] std::vector<std::uint8_t> solve_key_bytes(
+    const JobOptions& options, WarmStartPolicy warm_start);
+
 class SolverService {
  public:
   explicit SolverService(ServiceConfig config = {});
@@ -81,6 +89,7 @@ class SolverService {
   SolverService(const SolverService&) = delete;
   SolverService& operator=(const SolverService&) = delete;
 
+  /// A journal-recovered job: its id and future (see take_recovered).
   struct Submission {
     JobId id = 0;
     std::future<JobResult> result;
@@ -93,15 +102,6 @@ class SolverService {
   /// own Status. The instance is shared into the job (and its JobResult)
   /// so its lifetime is independent of the caller's copy.
   [[nodiscard]] Expected<JobHandle> submit(SubmitRequest request);
-
-  /// Transitional positional API: default tenant, no dedup, no warm start,
-  /// admission failures resolved INTO the future (the pre-tenant
-  /// contract). Kept for one release.
-  [[deprecated("build a SubmitRequest and call submit(SubmitRequest)")]]
-  Submission submit(mkp::Instance instance, JobOptions options = {});
-  [[deprecated("build a SubmitRequest and call submit(SubmitRequest)")]]
-  Submission submit(std::shared_ptr<const mkp::Instance> instance,
-                    JobOptions options = {});
 
   /// Queued waiter: resolves kCancelled immediately without running.
   /// Waiter on a running solve: detaches it (the shared solve continues for

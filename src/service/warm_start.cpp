@@ -1,46 +1,22 @@
 #include "service/warm_start.hpp"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 
 #include "obs/metrics.hpp"
-#include "parallel/codec.hpp"
 #include "parallel/wire.hpp"
-#include "util/crc32.hpp"
+#include "util/file_io.hpp"
 
 namespace pts::service {
 
 namespace {
 
-using parallel::codec::Reader;
-using parallel::codec::Writer;
-
-constexpr std::uint8_t kMagic[4] = {'P', 'T', 'S', 'W'};
-
-Status io_error(const std::string& what) {
-  return Status::internal("warm-start store: " + what + ": " +
-                          std::strerror(errno));
-}
-
-bool write_all(int fd, std::span<const std::uint8_t> bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const auto n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
+constexpr std::string_view kMagic = "PTSW";
+constexpr std::string_view kWhat = "warm-start store";
 
 std::string entry_name(std::uint64_t content_hash) {
   char buf[32];
@@ -49,119 +25,75 @@ std::string entry_name(std::uint64_t content_hash) {
   return buf;
 }
 
-/// The strategy/score section decoded; the solutions tail left unread (the
-/// caller decodes it only on an exact hit, against the live instance).
-struct EntryPrefix {
+/// One entry body: features, per-slave (strategy, SGP score), seeds.
+struct Entry {
   std::uint64_t content_hash = 0;
   std::uint32_t m = 0;
   std::uint32_t n = 0;
   double tightness = 0.0;
   double best_value = 0.0;
-  std::vector<tabu::Strategy> strategies;
-  std::vector<int> scores;
+  std::vector<std::pair<tabu::Strategy, int>> slaves;
+  std::vector<mkp::Solution> seeds;
 };
 
-/// Reads one entry file into validated body bytes. Any malformation is a
-/// Status — lookup treats it as a miss for that entry.
-Expected<std::vector<std::uint8_t>> read_body(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return io_error("open " + path);
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[1 << 16];
-  for (;;) {
-    const auto n = ::read(fd, buf, sizeof buf);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const auto status = io_error("read " + path);
-      ::close(fd);
-      return status;
-    }
-    if (n == 0) break;
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  ::close(fd);
+/// The feature + strategy head, all a kSimilar candidate needs.
+void head_fields(auto& io, auto& e) {
+  io.u64(e.content_hash);
+  io.u32(e.m);
+  io.u32(e.n);
+  io.f64(e.tightness);
+  io.f64(e.best_value);
+  io.seq(e.slaves, 8, parallel::codec::kAnyCount, [&](auto& slave) {
+    fields(io, slave.first);
+    io.i32(slave.second);
+  });
+}
 
-  if (bytes.size() < kWarmStartHeaderBytes ||
-      std::memcmp(bytes.data(), kMagic, 4) != 0) {
-    return Status::invalid_argument("warm-start store: bad magic in " + path);
-  }
-  const std::span<const std::uint8_t> head(bytes.data(), kWarmStartHeaderBytes);
-  Reader header(head);
-  (void)header.u32();  // magic, already compared
-  const auto version = header.u8();
-  const auto crc = header.u32();
-  const auto size = header.u64();
-  if (version != kWarmStartVersion) {
-    return Status::invalid_argument("warm-start store: unsupported version " +
-                                    std::to_string(version));
-  }
-  if (size > kMaxWarmStartBytes ||
-      size != bytes.size() - kWarmStartHeaderBytes) {
-    return Status::invalid_argument("warm-start store: size mismatch in " + path);
-  }
-  std::vector<std::uint8_t> body(bytes.begin() + kWarmStartHeaderBytes,
-                                 bytes.end());
-  if (crc32(body) != crc) {
-    return Status::invalid_argument("warm-start store: CRC mismatch in " + path);
-  }
-  return body;
+void fields(auto& io, parallel::codec::Of<Entry> auto& e) {
+  head_fields(io, e);
+  io.solutions(e.seeds);
 }
 
 /// How much of an entry the kSimilar scan reads per file. The feature +
-/// strategy prefix is a few hundred bytes even for wide pools; 64 KiB is
+/// strategy head is a few hundred bytes even for wide pools; 64 KiB is
 /// ludicrously generous while still bounding the scan's I/O — a directory
-/// of large entries no longer costs a full read + CRC of every file.
+/// of large entries costs no full read + CRC of every file.
 constexpr std::size_t kScanPrefixBytes = 64u << 10;
 
-/// Reads at most `limit` bytes from the head of `path` (bounded pread;
-/// never the whole file). Returns however many bytes the file had, up to
-/// the limit.
-Expected<std::vector<std::uint8_t>> read_prefix(const std::string& path,
-                                                std::size_t limit) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return io_error("open " + path);
-  std::vector<std::uint8_t> bytes(limit);
-  std::size_t off = 0;
-  while (off < limit) {
-    const auto n = ::pread(fd, bytes.data() + off, limit - off,
-                           static_cast<off_t>(off));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const auto status = io_error("read " + path);
-      ::close(fd);
-      return status;
-    }
-    if (n == 0) break;
-    off += static_cast<std::size_t>(n);
-  }
-  ::close(fd);
-  bytes.resize(off);
-  return bytes;
+/// Reads the entry at `path` and decodes its head — plus, given `exact`
+/// (the instance of an exact hit), its seed solutions, keeping those that
+/// decode (a partial seed beats none). A `scan` reads only the first
+/// kScanPrefixBytes and skips the size and CRC checks: it ranks candidates,
+/// and the winner is re-read whole. Any malformation is a Status; lookup
+/// treats it as a miss.
+Expected<Entry> load_entry(const std::string& path,
+                           const mkp::Instance* exact = nullptr,
+                           bool scan = false) {
+  const auto file =
+      scan ? read_file(path, kWhat, kScanPrefixBytes) : read_file(path, kWhat);
+  if (!file) return file.status();
+  const auto sealed =
+      parallel::codec::unseal(*file, kMagic, kWarmStartVersion, kWarmStartVersion,
+                              kMaxWarmStartBytes, kWhat, /*whole_file=*/!scan);
+  if (!sealed) return sealed.status();
+  parallel::codec::Reader r(sealed->body, exact);
+  Entry entry;
+  head_fields(r, entry);
+  if (!r.ok()) return r.error(kWhat);
+  if (exact != nullptr) r.solutions(entry.seeds);
+  return entry;
 }
 
-/// Decodes the feature + strategy prefix; leaves `r` positioned at the
-/// solutions section.
-Expected<EntryPrefix> get_prefix(Reader& r) {
-  EntryPrefix p;
-  p.content_hash = r.u64();
-  p.m = r.u32();
-  p.n = r.u32();
-  p.tightness = r.f64();
-  p.best_value = r.f64();
-  const auto nslaves = r.u32();
-  if (!r.plausible_count(nslaves, 8)) {
-    return Status::invalid_argument("warm-start store: implausible slave count");
+WarmStartStore::Hit make_hit(Entry& entry, bool exact) {
+  WarmStartStore::Hit hit;
+  hit.exact = exact;
+  hit.stored_best = entry.best_value;
+  for (const auto& [strategy, score] : entry.slaves) {
+    hit.warm.strategies.push_back(strategy);
+    hit.warm.scores.push_back(score);
   }
-  p.strategies.reserve(nslaves);
-  p.scores.reserve(nslaves);
-  for (std::uint32_t i = 0; i < nslaves; ++i) {
-    p.strategies.push_back(parallel::wire::get_strategy(r));
-    p.scores.push_back(r.i32());
-  }
-  if (!r.ok()) {
-    return Status::invalid_argument("warm-start store: truncated entry");
-  }
-  return p;
+  hit.warm.initials = std::move(entry.seeds);
+  return hit;
 }
 
 }  // namespace
@@ -224,44 +156,23 @@ std::optional<WarmStartStore::Hit> WarmStartStore::lookup(
     WarmStartPolicy policy) const {
   if (policy == WarmStartPolicy::kDisabled) return std::nullopt;
 
-  // Exact: one file, addressed by content.
+  // Exact: one file, addressed by content. Its saved elite solutions are
+  // solutions OF this instance — decoded and seeded as initials.
   const auto exact_path =
       (std::filesystem::path(dir_) / entry_name(content_hash)).string();
-  if (auto body = read_body(exact_path)) {
-    const std::span<const std::uint8_t> body_span(body->data(), body->size());
-    Reader r(body_span);
-    if (auto prefix = get_prefix(r); prefix &&
-                                     prefix->content_hash == content_hash) {
-      Hit hit;
-      hit.exact = true;
-      hit.stored_best = prefix->best_value;
-      hit.warm.strategies = std::move(prefix->strategies);
-      hit.warm.scores = std::move(prefix->scores);
-      // Exact hit: the saved elite solutions are solutions OF this
-      // instance — decode and seed them as initials.
-      const auto nsol = r.u32();
-      if (r.plausible_count(nsol, 8 + inst.num_items() / 8)) {
-        for (std::uint32_t k = 0; k < nsol; ++k) {
-          auto solution = parallel::wire::get_solution(r, inst);
-          if (!solution) break;  // partial seed beats none
-          hit.warm.initials.push_back(*std::move(solution));
-        }
-      }
-      obs::metrics().counter("warm_start_exact_hits_total").add();
-      return hit;
-    }
+  if (auto entry = load_entry(exact_path, &inst);
+      entry && entry->content_hash == content_hash) {
+    obs::metrics().counter("warm_start_exact_hits_total").add();
+    return make_hit(*entry, /*exact=*/true);
   }
   if (policy != WarmStartPolicy::kSimilar) return std::nullopt;
 
   // Approximate: closest mean-tightness neighbor with the same shape.
   // Strategies and SGP scores transfer; solutions never do.
   //
-  // Two passes. The scan reads only a bounded prefix of each entry (header
-  // + features + strategies — no solution tails, no CRC over megabytes of
-  // body) to rank candidates; the full read + CRC validation then runs
-  // only on the ranked candidates, best first, and the first one that
-  // validates wins. A store full of large entries costs a handful of
-  // page-sized preads per lookup instead of a full read of every file.
+  // Two passes. The scan reads only a bounded prefix of each entry to rank
+  // candidates; the full read + CRC validation then runs only on the ranked
+  // candidates, best first, and the first one that validates wins.
   const double t = mean_tightness(inst);
   struct Candidate {
     std::string path;
@@ -270,35 +181,19 @@ std::optional<WarmStartStore::Hit> WarmStartStore::lookup(
   };
   std::vector<Candidate> candidates;
   std::error_code ec;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(dir_, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    if (entry.path().extension() != ".ptsw") continue;
-    auto head = read_prefix(entry.path().string(), kScanPrefixBytes);
-    if (!head) continue;  // unreadable entry: skip, never fatal
-    if (head->size() < kWarmStartHeaderBytes ||
-        std::memcmp(head->data(), kMagic, 4) != 0) {
+  for (const auto& file : std::filesystem::directory_iterator(dir_, ec)) {
+    if (!file.is_regular_file(ec)) continue;
+    if (file.path().extension() != ".ptsw") continue;
+    // A head that outruns the scan window decodes as truncated and the
+    // entry is skipped — fine, a legitimate one never gets near that large.
+    const auto entry = load_entry(file.path().string(), nullptr, /*scan=*/true);
+    if (!entry) continue;  // unreadable or corrupt entry: skip, never fatal
+    if (entry->m != inst.num_constraints() || entry->n != inst.num_items()) {
       continue;
     }
-    Reader header({head->data(), kWarmStartHeaderBytes});
-    (void)header.u32();  // magic, already compared
-    const auto version = header.u8();
-    (void)header.u32();  // CRC deferred to the validation pass
-    const auto size = header.u64();
-    if (version != kWarmStartVersion || size > kMaxWarmStartBytes) continue;
-    // A prefix that outruns the 64 KiB window decodes as truncated and the
-    // entry is skipped — fine, a legitimate strategy section never gets
-    // anywhere near that large.
-    Reader r({head->data() + kWarmStartHeaderBytes,
-              head->size() - kWarmStartHeaderBytes});
-    auto prefix = get_prefix(r);
-    if (!prefix) continue;
-    if (prefix->m != inst.num_constraints() || prefix->n != inst.num_items()) {
-      continue;
-    }
-    const double dt = std::abs(prefix->tightness - t);
+    const double dt = std::abs(entry->tightness - t);
     if (dt > tightness_tolerance_) continue;
-    candidates.push_back({entry.path().string(), dt, prefix->best_value});
+    candidates.push_back({file.path().string(), dt, entry->best_value});
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) {
@@ -306,19 +201,10 @@ std::optional<WarmStartStore::Hit> WarmStartStore::lookup(
               return a.best_value > b.best_value;
             });
   for (const auto& candidate : candidates) {
-    auto body = read_body(candidate.path);  // full read + CRC, only now
-    if (!body) continue;  // corrupt entry: fall through to the runner-up
-    const std::span<const std::uint8_t> body_span(body->data(), body->size());
-    Reader r(body_span);
-    auto prefix = get_prefix(r);
-    if (!prefix) continue;
-    Hit hit;
-    hit.exact = false;
-    hit.stored_best = prefix->best_value;
-    hit.warm.strategies = std::move(prefix->strategies);
-    hit.warm.scores = std::move(prefix->scores);
+    auto entry = load_entry(candidate.path);  // full read + CRC, only now
+    if (!entry) continue;  // corrupt entry: fall through to the runner-up
     obs::metrics().counter("warm_start_similar_hits_total").add();
-    return hit;
+    return make_hit(*entry, /*exact=*/false);
   }
   return std::nullopt;
 }
@@ -330,7 +216,6 @@ Status WarmStartStore::save(
   if (slaves.empty()) {
     return Status::invalid_argument("warm-start store: nothing to save");
   }
-  const double best_value = best.value();
   const auto path =
       (std::filesystem::path(dir_) / entry_name(content_hash)).string();
 
@@ -340,77 +225,42 @@ Status WarmStartStore::save(
   std::lock_guard save_lock(save_mutex_);
 
   // Keep-the-best policy: a weaker run never clobbers a stronger entry.
-  if (auto body = read_body(path)) {
-    const std::span<const std::uint8_t> body_span(body->data(), body->size());
-    Reader r(body_span);
-    if (auto prefix = get_prefix(r);
-        prefix && prefix->best_value > best_value) {
-      return Status{};
-    }
+  if (const auto existing = load_entry(path);
+      existing && existing->best_value > best.value()) {
+    return Status{};
   }
 
-  Writer body;
-  body.u64(content_hash);
-  body.u32(static_cast<std::uint32_t>(inst.num_constraints()));
-  body.u32(static_cast<std::uint32_t>(inst.num_items()));
-  body.f64(mean_tightness(inst));
-  body.f64(best_value);
-  body.u32(static_cast<std::uint32_t>(slaves.size()));
-  for (const auto& slave : slaves) {
-    parallel::wire::put_strategy(body, slave.strategy);
-    body.i32(slave.score);
-  }
+  Entry entry{content_hash,
+              static_cast<std::uint32_t>(inst.num_constraints()),
+              static_cast<std::uint32_t>(inst.num_items()),
+              mean_tightness(inst),
+              best.value()};
   // Seed solutions: the run's best first (it may be in no slave's final
   // pool), then each slave's strongest elite, else its last initial.
-  std::vector<const mkp::Solution*> seeds;
-  seeds.push_back(&best);
+  entry.seeds.push_back(best);
   for (const auto& slave : slaves) {
+    entry.slaves.emplace_back(slave.strategy, slave.score);
     const mkp::Solution* seed = nullptr;
     for (const auto& elite : slave.b_best) {
       if (seed == nullptr || elite.value() > seed->value()) seed = &elite;
     }
     if (seed == nullptr && slave.initial) seed = &*slave.initial;
-    if (seed != nullptr) seeds.push_back(seed);
+    if (seed != nullptr) entry.seeds.push_back(*seed);
   }
-  body.u32(static_cast<std::uint32_t>(seeds.size()));
-  for (const auto* seed : seeds) parallel::wire::put_solution(body, *seed);
-  const auto body_bytes = body.take();
 
-  Writer file;
-  for (const auto b : kMagic) file.u8(b);
-  file.u8(kWarmStartVersion);
-  file.u32(crc32(body_bytes));
-  file.u64(body_bytes.size());
-  file.bytes(body_bytes);
-  const auto image = file.take();
-
-  // Snapshot write discipline: tmp + fsync + rename + directory fsync, so a
-  // crash leaves the old entry or the new one, never a torn file. The tmp
+  // Atomic replace, so a crash leaves the old entry or the new one. The tmp
   // name is unique per (process, save) so writers never share a tmp file —
   // the mutex above covers this process, the pid covers siblings on a
   // shared store directory.
   const std::string tmp = path + ".tmp." +
                           std::to_string(static_cast<long long>(::getpid())) +
                           "." + std::to_string(tmp_seq_.fetch_add(1));
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return io_error("open " + tmp);
-  if (!write_all(fd, image) || ::fsync(fd) != 0) {
-    const auto status = io_error("write " + tmp);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return status;
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const auto status = io_error("rename " + tmp + " -> " + path);
-    ::unlink(tmp.c_str());
-    return status;
-  }
-  const int dir_fd = ::open(dir_.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd >= 0) {
-    ::fsync(dir_fd);
-    ::close(dir_fd);
-  }
+  const auto written = replace_file(
+      path, tmp,
+      parallel::codec::seal(kMagic, kWarmStartVersion,
+                            parallel::codec::encode(entry)),
+      kWhat);
+  if (!written) return written.status();
   obs::metrics().counter("warm_start_saves_total").add();
   return Status{};
 }

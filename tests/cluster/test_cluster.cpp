@@ -128,6 +128,38 @@ TEST(Cluster, DedupCoalescesIntoOneRemoteSolve) {
   EXPECT_EQ(stats.dispatched, 1u);  // ONE remote solve for both waiters
 }
 
+TEST(Cluster, DedupCoalescesAcrossTenants) {
+  // The cluster keys on the service's own dedup key: identical work from
+  // two tenants is ONE remote solve, exactly as on a single pts_serve.
+  auto w1 = start_worker();
+  ASSERT_TRUE(w1);
+  auto coordinator = Coordinator::start(fast_config({w1->port()}));
+  ASSERT_TRUE(coordinator) << coordinator.status().to_string();
+  wait_for_peers(**coordinator, 1);
+  const auto before = (*coordinator)->stats();
+
+  auto prod = make_request(5, /*budget=*/1.0);
+  auto batch = make_request(5, /*budget=*/1.0);
+  batch.tenant = "batch";
+  batch.instance = make_instance(5);  // equal bytes, a separate object
+  auto first = (*coordinator)->submit(prod);
+  ASSERT_TRUE(first) << first.status().to_string();
+  auto second = (*coordinator)->submit(batch);
+  ASSERT_TRUE(second) << second.status().to_string();
+  EXPECT_FALSE(first->deduplicated);
+  EXPECT_TRUE(second->deduplicated);
+
+  auto r1 = first->result.get();
+  auto r2 = second->result.get();
+  EXPECT_TRUE(r1.status.ok()) << r1.status.to_string();
+  EXPECT_TRUE(r2.status.ok()) << r2.status.to_string();
+  EXPECT_EQ(r1.best_value, r2.best_value);
+
+  const auto after = (*coordinator)->stats();
+  EXPECT_EQ(after.dispatched - before.dispatched, 1u);
+  EXPECT_EQ(after.dedup_hits - before.dedup_hits, 1u);
+}
+
 TEST(Cluster, DedupOptOutGetsItsOwnSolve) {
   auto w1 = start_worker();
   ASSERT_TRUE(w1);

@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 #include <variant>
 
 #include "bounds/greedy.hpp"
+#include "cluster/peer_protocol.hpp"
 #include "mkp/generator.hpp"
+#include "net/protocol.hpp"
 #include "util/rng.hpp"
 
 namespace pts::parallel {
@@ -273,39 +276,111 @@ TEST(WireFuzz, TruncatedPayloadsAlwaysReturnStatus) {
   }
 }
 
+/// Every frame the protocol defines: the worker, client and peer message
+/// lists joined into one variant, so decode_one_of dispatches any tag.
+template <class... Lists>
+struct Join;
+template <class... A, class... B, class... C>
+struct Join<std::variant<A...>, std::variant<B...>, std::variant<C...>> {
+  using type = std::variant<A..., B..., C...>;
+};
+using AnyFrame =
+    Join<wire::WorkerFrame, net::ClientFrame, cluster::PeerFrame>::type;
+
+/// One encoded, field-rich message per frame type.
+std::vector<std::vector<std::uint8_t>> sample_frames(const mkp::Instance& inst) {
+  Rng rng(9);
+  Report report;
+  report.slave_id = 1;
+  report.elite = {bounds::greedy_randomized(inst, rng)};
+  report.anytime = {{1, 0.5, 10, 20.0}};
+  wire::TelemetryChunk chunk;
+  chunk.events.push_back({.name = "round", .phase = 'X', .args = {{"k", 1.0}},
+                          .has_detail = true, .detail_key = "a", .detail = "b"});
+  chunk.counter_deltas = {{"moves_total", 5}};
+  net::JobResultFrame result;
+  result.best = bounds::greedy_randomized(inst, rng);
+  result.best_value = result.best->value();
+  result.tenant = "prod";
+  cluster::PeerReplicate replicate;
+  replicate.records.push_back({.seq = 1,
+                               .kind = cluster::ReplicateRecord::Kind::kSubmitted,
+                               .job_id = 2,
+                               .instance = inst,
+                               .tenant = "prod"});
+  replicate.records.push_back(
+      {.seq = 2, .kind = cluster::ReplicateRecord::Kind::kDedup, .job_id = 3,
+       .dedup_primary = 2});
+  return {
+      wire::encode_hello({0, 7, inst, wire::kHelloFlagTrace}),
+      wire::encode_to_slave(make_assignment(inst)),
+      wire::encode_to_slave(Stop{}),
+      wire::encode_from_slave(report),
+      wire::encode_from_slave(SlaveFault{1, 2, "boom"}),
+      wire::encode_telemetry_chunk(chunk),
+      net::encode_submit_job({.request_id = 1, .tenant = "prod",
+                              .deadline_seconds = 2.0, .instance = inst}),
+      net::encode_submit_ack({2, Status::resource_exhausted("full"), 3, 4, true}),
+      net::encode_job_event({.request_id = 5, .anytime = {{0, 0.1, 2, 3.0}}}),
+      net::encode_job_result(result),
+      net::encode_cancel_job({6}),
+      net::encode_goodbye({"draining"}),
+      cluster::encode_peer_hello({"prod", 2}),
+      cluster::encode_peer_welcome({"node-a", 7, 4}),
+      cluster::encode_peer_ping({1}),
+      cluster::encode_peer_pong({1, 2, 3, 4}),
+      cluster::encode_peer_replicate(replicate),
+      cluster::encode_peer_replicate_ack({9}),
+  };
+}
+
+TEST(WireFuzz, EveryFrameTypeHasAFuzzSample) {
+  // The three sets must agree: the tags decode_header accepts, the tags of
+  // the joined message list, and the tags of the fuzz samples below.
+  std::set<int> accepted;
+  for (int type = 0; type < 256; ++type) {
+    auto frame = wire::encode_to_slave(Stop{});
+    frame[3] = static_cast<std::uint8_t>(type);
+    if (wire::decode_header(frame)) accepted.insert(type);
+  }
+  std::set<int> listed;
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    (listed.insert(static_cast<int>(
+         wire::kFrameType<std::variant_alternative_t<I, AnyFrame>>)),
+     ...);
+  }(std::make_index_sequence<std::variant_size_v<AnyFrame>>{});
+  std::set<int> sampled;
+  for (const auto& frame : sample_frames(make_instance())) {
+    sampled.insert(static_cast<int>(split_frame(frame).header.type));
+  }
+  EXPECT_EQ(listed, accepted);
+  EXPECT_EQ(sampled, accepted);
+}
+
 TEST(WireFuzz, RandomByteFlipsNeverCrashTheDecoders) {
   // Corruption may happen to decode (a flipped low bit in a double payload
   // is still a valid frame) — the invariant under test is totality: every
   // outcome is a value or a Status, never a crash or a giant allocation.
+  // Every frame type is fuzzed, each flipped copy decoded as whatever type
+  // its (possibly flipped) header now names.
   const auto inst = make_instance();
-  const auto reference = wire::encode_to_slave(make_assignment(inst));
   Rng rng(2026);
-  for (int trial = 0; trial < 300; ++trial) {
-    auto frame = reference;
-    const int flips = 1 + static_cast<int>(rng.next_below(4));
-    for (int f = 0; f < flips; ++f) {
-      const auto pos = rng.next_below(frame.size());
-      frame[pos] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
-    }
-    const auto header = wire::decode_header(frame);
-    if (!header) continue;
-    const auto payload = std::span<const std::uint8_t>(frame).subspan(
-        wire::kHeaderBytes,
-        std::min<std::size_t>(frame.size() - wire::kHeaderBytes,
-                              header->payload_size));
-    if (payload.size() < header->payload_size) continue;  // truncated claim
-    switch (header->type) {
-      case wire::MessageType::kHello:
-        (void)wire::decode_hello(payload);
-        break;
-      case wire::MessageType::kAssignment:
-      case wire::MessageType::kStop:
-        (void)wire::decode_to_slave(header->type, payload, inst);
-        break;
-      case wire::MessageType::kReport:
-      case wire::MessageType::kFault:
-        (void)wire::decode_from_slave(header->type, payload, inst);
-        break;
+  for (const auto& reference : sample_frames(inst)) {
+    for (int trial = 0; trial < 200; ++trial) {
+      auto frame = reference;
+      const int flips = 1 + static_cast<int>(rng.next_below(4));
+      for (int f = 0; f < flips; ++f) {
+        const auto pos = rng.next_below(frame.size());
+        frame[pos] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+      }
+      const auto header = wire::decode_header(frame);
+      if (!header) continue;
+      const auto payload = std::span<const std::uint8_t>(frame).subspan(
+          wire::kHeaderBytes,
+          std::min<std::size_t>(frame.size() - wire::kHeaderBytes,
+                                header->payload_size));
+      if (payload.size() < header->payload_size) continue;  // truncated claim
+      (void)wire::decode_one_of<AnyFrame>(header->type, payload, &inst);
     }
   }
   SUCCEED();
