@@ -5,58 +5,23 @@
 // SolverService in pts_serve fronts a whole cluster in pts_cluster — clients
 // keep the exact pts_client protocol and cannot tell the difference.
 //
-// Ownership and identity. Every accepted submission gets a coordinator-side
-// JobId and a promise the coordinator ALWAYS resolves — through node death,
-// resubmission, cancel, deadline and shutdown. Identical submissions
-// (equal instance bytes + service::solve_key_bytes, the service's own dedup
-// key, tenants included) coalesce into one ClusterJob with many waiters: ONE
-// remote solve, every waiter's future resolved from its result. A request
-// with allow_dedup=false gets a private key and never coalesces.
+// It is nothing but a SolverService — the one job table, with its
+// admission rules, dedup, WFQ queue, deadlines, cancel and journal —
+// whose executor and replication sink is a RemoteExecutor: dispatched jobs
+// run on worker nodes (with heartbeat failover), and the service's journal
+// records stream to the nodes' replica journals, so any node's replica can
+// boot a replacement coordinator (journal_path pointed at a copy of it).
 //
-// Failover. Peer liveness is heartbeat-based (PeerPing every interval; a
-// node that misses `heartbeat_misses` intervals is declared dead — kill -9,
-// partition and stall-past-budget all look identical from here). A dead
-// node's in-flight ClusterJobs return to the pending queue and are
-// redispatched to a surviving node after a jittered exponential backoff,
-// at-most-once per failure (`attempts` is bumped per failover, never per
-// waiter; a coalesced job resubmits as ONE remote solve no matter how many
-// waiters ride it). A job that exhausts `max_resubmits` resolves every
-// waiter kUnavailable. The engine is deterministic, so a resubmitted job
-// reproduces the trajectory the dead node was computing — failover costs
-// wall-clock, never result quality.
-//
-// Replication. The coordinator journals every waiter to its own PTSJ job
-// journal (crash safety for itself) and mirrors the same records — numbered
-// by a monotone sequence — to every worker node over the peer sockets
-// (kPeerReplicate). Workers apply them to replica journals in the same
-// format, so ANY node's replica can boot a replacement coordinator: point a
-// new Coordinator's journal_path at the replica and take_recovered() hands
-// back the still-open jobs. A rejoining worker reports its applied-through
-// cursor in PeerWelcome and receives exactly the records it missed (a
-// truncated replica reports 0 and receives the full live image).
-//
-// Shutdown resolves the remaining waiters kUnavailable WITHOUT striking
-// their journal records — the same contract as SolverService::shutdown() —
-// so a restarted (or promoted) coordinator recovers them.
+// stop() resolves the remaining waiters kUnavailable WITHOUT striking their
+// journal records, so a restarted (or promoted) coordinator recovers them.
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <future>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "cluster/peer_protocol.hpp"
 #include "net/server.hpp"
-#include "parallel/transport.hpp"
-#include "service/journal.hpp"
-#include "util/cancel.hpp"
-#include "util/rng.hpp"
-#include "util/timer.hpp"
+#include "service/solver_service.hpp"
 
 namespace pts::cluster {
 
@@ -77,7 +42,7 @@ struct CoordinatorConfig {
   /// Dead after this many silent intervals. The product must comfortably
   /// exceed any PTS_CHAOS_NODE_STALL_MS a test runs with — slow is not dead.
   int heartbeat_misses = 5;
-  /// Failovers per ClusterJob before its waiters resolve kUnavailable.
+  /// Failovers per dispatched job before its waiters resolve kUnavailable.
   int max_resubmits = 3;
   /// Resubmission backoff: initial * 2^k, jittered to [0.5, 1.0]x, capped.
   double resubmit_backoff_seconds = 0.05;
@@ -90,10 +55,10 @@ struct CoordinatorConfig {
 
 /// Monotone counters (tests and the failover bench read these).
 struct CoordinatorStats {
-  std::uint64_t submitted = 0;
+  std::uint64_t submitted = 0;        ///< every submit() call, refused ones too
   std::uint64_t dedup_hits = 0;       ///< waiters attached to an existing job
   std::uint64_t dispatched = 0;       ///< remote submissions sent (incl. retries)
-  std::uint64_t failovers = 0;        ///< jobs pulled off a dead node
+  std::uint64_t failovers = 0;        ///< resubmits: node died or sent garbage
   std::uint64_t exhausted = 0;        ///< jobs that ran out of resubmits
   std::uint64_t nodes_lost = 0;
   std::uint64_t nodes_connected = 0;  ///< successful handshakes (incl. rejoins)
@@ -101,14 +66,16 @@ struct CoordinatorStats {
   std::uint64_t resolved = 0;         ///< waiter futures resolved, any status
 };
 
+class RemoteExecutor;
+
 class Coordinator final : public net::JobGateway {
  public:
-  /// Validates the config, replays journal_path (the promotion path), opens
-  /// the journal fresh and starts the tick thread. Peers connect
+  /// Validates the config, starts the peer mesh, then the service (which
+  /// replays journal_path — the promotion path). Peers connect
   /// asynchronously — poll alive_peers() to wait for the mesh.
   [[nodiscard]] static Expected<std::unique_ptr<Coordinator>> start(
       CoordinatorConfig config);
-  ~Coordinator();  ///< stop()
+  ~Coordinator() override;  ///< stop()
 
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
@@ -120,10 +87,7 @@ class Coordinator final : public net::JobGateway {
 
   /// Jobs replayed from journal_path at start, already re-submitted through
   /// the normal path (so they re-coalesce and re-journal). Single-shot.
-  struct Recovered {
-    service::JobId id = 0;
-    std::future<service::JobResult> result;
-  };
+  using Recovered = service::SolverService::Submission;
   [[nodiscard]] std::vector<Recovered> take_recovered();
 
   [[nodiscard]] std::size_t alive_peers() const;
@@ -134,68 +98,10 @@ class Coordinator final : public net::JobGateway {
   void stop();
 
  private:
-  struct Waiter;
-  struct ClusterJob;
-  struct Peer;
+  Coordinator() = default;
 
-  explicit Coordinator(CoordinatorConfig config);
-
-  [[nodiscard]] double now_seconds() const { return clock_.elapsed_seconds(); }
-  [[nodiscard]] double jittered_backoff_locked(double base, int attempts);
-
-  /// The coalescing key: content hash + service::solve_key_bytes, plus a
-  /// private nonce unless `coalesce`.
-  [[nodiscard]] std::string make_key_locked(const service::SubmitRequest& request,
-                                            std::uint64_t content_hash,
-                                            bool coalesce);
-
-  Expected<service::JobHandle> submit_locked(service::SubmitRequest request);
-  void log_append_locked(ReplicateRecord record);
-  void compact_log_locked();
-  void resolve_waiter_locked(Waiter& waiter, service::JobResult result,
-                             bool strike_journal);
-  /// Resolves every waiter of `job` with `status` (no solution) and erases
-  /// the job. `strike_journal` false only on the shutdown path.
-  void fail_job_locked(const std::string& key, const Status& status,
-                       bool strike_journal);
-
-  void tick_loop();
-  void connect_peers();  ///< dials outside the lock; installs under it
-  void heartbeat_locked();
-  void replicate_locked();
-  void dispatch_locked();
-  void sweep_deadlines_locked();
-  void reader_loop(Peer& peer);
-  void on_peer_down_locked(Peer& peer);
-  void handle_result_locked(Peer& peer, std::uint64_t request_id,
-                            std::vector<std::uint8_t> payload);
-  /// Sends one frame on the peer socket (write mutex). Failure is left for
-  /// the reader/heartbeat to notice — sends are fire-and-forget here.
-  void send_to_peer_locked(Peer& peer, const std::vector<std::uint8_t>& frame);
-
-  CoordinatorConfig config_;
-  Stopwatch clock_;  ///< coordinator-relative monotonic time
-  CancelSource stop_source_;
-  std::atomic<bool> stopping_{false};
-
-  mutable std::mutex mutex_;
-  Rng rng_{0x636f6f7264ull};  // backoff jitter; guarded by mutex_
-
-  service::JobId next_id_ = 1;
-  std::uint64_t next_seq_ = 1;  ///< replication sequence
-  std::map<std::string, std::unique_ptr<ClusterJob>> jobs_;  // by dedup key
-  std::map<service::JobId, std::string> waiter_index_;       // waiter -> key
-  std::uint64_t dedup_nonce_ = 1;  ///< private keys for allow_dedup=false
-
-  std::deque<ReplicateRecord> log_;  ///< replication log (compacted in place)
-  std::unique_ptr<service::journal::JobJournal> journal_;
-  std::vector<Recovered> recovered_;
-
-  std::vector<std::unique_ptr<Peer>> peers_;
-
-  CoordinatorStats stats_;
-
-  std::thread tick_;  // started last, joined by stop()
+  std::unique_ptr<RemoteExecutor> executor_;  // outlives service_
+  std::unique_ptr<service::SolverService> service_;
 };
 
 }  // namespace pts::cluster

@@ -62,8 +62,9 @@ struct PeerPing {
   std::uint64_t seq = 0;
 };
 
-/// worker -> coordinator: probe echo plus the load sample that drives
-/// least-loaded sharding and the replication cursor for ack piggybacking.
+/// worker -> coordinator: probe echo plus the node's load sample and
+/// replication cursor. The coordinator places work by its own count of
+/// runs in flight per node; the sample is informational.
 struct PeerPong {
   static constexpr auto kType = parallel::wire::MessageType::kPeerPong;
   std::uint64_t seq = 0;

@@ -23,8 +23,8 @@
 // image); a hello from a LOWER epoch — a stale coordinator that lost its
 // crown — is refused outright. And the cursor only advances for records
 // DURABLY appended: a node without a replica journal (no path configured,
-// or the open failed) acks cursor 0 forever, so the coordinator's
-// `acked_seq` for it truthfully reads "this node holds no replica".
+// or the open failed) acks cursor 0 forever: its acks never claim a
+// replica it does not hold.
 //
 // Node-level chaos. Four env knobs extend the PTS_CHAOS_* family to whole-
 // node failure, evaluated per inbound peer frame (tests/cluster/ and

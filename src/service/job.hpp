@@ -177,10 +177,11 @@ enum class OverflowPolicy : std::uint8_t {
 };
 
 struct ServiceConfig {
-  /// Pool width: the maximum number of concurrently running search threads
-  /// across all jobs. A job's preset thread ask is clamped to this, and jobs
-  /// are only dispatched when their ask fits in the free capacity — 50
-  /// queued jobs on a 4-wide pool drain without oversubscription.
+  /// Pool width of the local executor: the maximum number of concurrently
+  /// running search threads across all jobs. A job's preset thread ask is
+  /// clamped to this, and jobs are only dispatched when their ask fits in
+  /// the free capacity — 50 queued jobs on a 4-wide pool drain without
+  /// oversubscription. A supplied executor reports its own capacity.
   std::size_t num_workers = 4;
   /// Bounded backlog of not-yet-running jobs; overflow applies `overflow`.
   std::size_t queue_capacity = 64;

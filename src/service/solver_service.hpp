@@ -1,60 +1,51 @@
 #pragma once
-// SolverService: many MKP solve jobs over one fixed-width worker pool, with
-// futures that resolve to a result **or a structured error** — never an
-// abort, never a dangling future. Multi-tenant (DESIGN.md §7): submissions
-// carry a tenant identity, dispatch is weighted-fair across tenants, and
-// identical in-flight work is deduplicated into one shared solve.
+// SolverService: the one job table (DESIGN.md §7). Many MKP solve jobs share
+// a bounded queue and a pool of slots; every accepted submission gets a
+// future that resolves exactly once to a result or a structured error —
+// never an abort, never a dangling future. The same class fronts one
+// process (pts_serve, the local executor) and a whole cluster (the
+// coordinator, whose executor runs jobs on worker nodes).
 //
 // Submission. submit(SubmitRequest) validates and enqueues, returning
 // Expected<JobHandle>: admission failures (bad options, backpressure,
-// shutdown) come back as a Status; accepted work returns a handle whose
-// future always resolves. Every submitted instance is content-addressed
-// (snapshot::instance_hash64 over its canonical wire bytes); a submission
-// whose instance bytes AND solve-shaped options match an in-flight job
-// attaches to that job as an extra *waiter* instead of enqueuing a new
-// solve — one run fans out to every waiter's future, each with its own
-// deadline semantics.
+// shutdown) come back as a Status. Instances are content-addressed
+// (snapshot::instance_hash64 over their canonical wire bytes); a submission
+// whose instance bytes AND solve shape (options minus priority, deadline
+// and worker path, plus the warm-start policy) match a queued or running
+// job attaches to it as an extra *waiter* — one solve, every waiter's
+// future resolved from it, each with its own deadline.
 //
-// Scheduling. A scheduler thread dispatches whenever capacity frees up.
-// Jobs resumed from the journal go absolutely first, in their original
-// dispatch order. Everything else is weighted-fair queuing over tenants:
-// each tenant accrues virtual time slots/weight per dispatched slot and the
-// tenant with the least virtual time is served next (its own jobs ordered
-// by priority, ties in submission order), subject to its max_running_slots
-// quota. With a single tenant (or none configured) this degrades exactly to
-// the old strict-priority order. Backpressure sheds the lowest-weight,
-// lowest-priority queued job first, and only when the incoming submission
+// Scheduling. A scheduler thread dispatches whenever the executor has free
+// capacity. Journal-resumed jobs go first, in their original dispatch
+// order; everything else is weighted-fair queuing over tenants (least
+// virtual time first, then priority, then submission order), subject to
+// each tenant's max_running_slots quota. Backpressure sheds the lowest-
+// weight, lowest-priority queued job, and only for a submission that
 // strictly outranks it.
 //
-// Warm starts. With ServiceConfig::warm_start_dir set, completed
-// cooperative runs persist their final per-slave state (strategies, SGP
-// scores, elite solutions) keyed by instance content hash; a new job whose
-// WarmStartPolicy allows it is seeded from the exact entry — or, under
-// kSimilar, from an (m, n, tightness)-neighboring one — before it runs.
+// Executors. Where a dispatched job runs is an Executor: the default local
+// one runs run_parallel_tabu_search on this process's pool (warm-start
+// lookup and save included); the cluster's remote one runs it on a worker
+// node. The executor reports its capacity; the scheduler charges each
+// running job its slots against it.
 //
-// Cancellation. Every dispatched job owns a CancelSource armed with the
-// most generous waiter deadline; the token threads through the master's
-// round loop, every mailbox wait, and each slave engine's inner move loop.
-// cancel(id) on a shared solve detaches just that waiter (the solve
-// continues for the rest); cancelling the last waiter stops the run.
+// Cancellation and deadlines. Every dispatched job owns a CancelSource armed
+// with the most generous waiter deadline; the executor's run observes its
+// token. cancel(id) detaches one waiter; cancelling the last one stops the
+// run. A waiter whose own deadline passes first resolves kDeadlineExceeded
+// alone.
 //
-// Fault model. A slave round that throws becomes a SlaveFault message; the
-// master's gather completes with P-1 reports and respawns the slave's
-// record (see parallel/master.cpp). The service surfaces the per-job fault
-// count in JobResult and aggregates it in ServiceStats.
+// Journal. Every accepted waiter is recorded at submit (kSubmitted, plus
+// kDedup for an attached one), every dispatch is stamped (kDispatched) and
+// every terminal resolution is struck (kResolved) — except resolutions
+// caused by shutdown(), which stay open so the next incarnation replays
+// them. The records go to the journal file (ServiceConfig::journal_path)
+// and, all but kDispatched, to an optional RecordSink in append order —
+// the cluster's replication stream. The constructor re-enqueues a replayed
+// journal's survivors as JobOrigin::kResumed; take_recovered() hands back
+// their futures.
 //
-// Crash safety. With ServiceConfig::journal_path set, every accepted waiter
-// is journaled at submit (with its tenant and warm-start policy), dedup
-// attachments are linked with a kDedup record, the scheduler's dispatch is
-// stamped with its global start sequence, and every terminal resolution is
-// struck — EXCEPT resolutions caused by shutdown(), which are deliberately
-// left open so a restarted service replays them. The constructor
-// re-enqueues the survivors as JobOrigin::kResumed; take_recovered() hands
-// their futures to the caller. Recovered duplicate submissions re-coalesce
-// naturally at resubmit (their content bytes still match).
-//
-// DESIGN.md §7 covers the full design; examples/batch_server.cpp drives a
-// mixed multi-tenant workload through it.
+// examples/batch_server.cpp drives a mixed multi-tenant workload through it.
 
 #include <condition_variable>
 #include <future>
@@ -66,24 +57,63 @@
 
 #include "service/job.hpp"
 #include "service/journal.hpp"
-#include "service/warm_start.hpp"
 #include "util/cancel.hpp"
 #include "util/timer.hpp"
 
 namespace pts::service {
 
-/// The dedup identity of a submission's solve shape: its options with the
-/// per-caller fields (priority, deadline) and the machine-local worker path
-/// neutralized, plus the warm-start policy. Submissions share one solve only
-/// when this AND their instance bytes match, so sharing never changes what
-/// runs. The tenant is not part of it: identical work coalesces across
-/// tenants. SolverService and the cluster Coordinator both key on it.
-[[nodiscard]] std::vector<std::uint8_t> solve_key_bytes(
-    const JobOptions& options, WarmStartPolicy warm_start);
+/// One dispatched solve as its executor sees it; fixed once dispatched.
+struct Dispatch {
+  std::shared_ptr<const mkp::Instance> instance;
+  std::uint64_t content_hash = 0;
+  JobOptions options;  ///< the first waiter's, as submitted
+  TenantId tenant;     ///< the first waiter's
+  WarmStartPolicy warm_start = WarmStartPolicy::kDisabled;
+  /// The resolved preset, clamped to the executor's per-job capacity. At
+  /// dispatch time_limit_seconds becomes the budget (cut short by the solve
+  /// deadline) and `cancel` the run's token: cancel, or the most generous
+  /// waiter deadline.
+  parallel::ParallelConfig config;
+};
+
+/// Where a dispatched job runs (DESIGN.md §7 "Executors").
+class Executor {
+ public:
+  struct Capacity {
+    std::size_t slots = 0;    ///< slots that can run at once; 0 = none now
+    std::size_t per_job = 0;  ///< the most one job can occupy
+  };
+
+  virtual ~Executor() = default;
+  /// Called under the service lock: must not call back into the service.
+  [[nodiscard]] virtual Capacity capacity() const = 0;
+  /// Runs one job to its end on the calling job thread, stopping early once
+  /// `job.config.cancel` fires. A value is the run's output (best,
+  /// counters...); the service decides its status. An error means nothing
+  /// usable ran, and every waiter resolves with it.
+  [[nodiscard]] virtual Expected<JobResult> run(const Dispatch& job) = 0;
+};
+
+/// Receives the service's kSubmitted/kDedup/kResolved journal records in
+/// append order, whether or not a journal file is open. Called with the
+/// service lock held or from job threads: must not call back into it.
+class RecordSink {
+ public:
+  virtual ~RecordSink() = default;
+  virtual void submitted(JobId id, const mkp::Instance& instance,
+                         const JobOptions& options, const TenantId& tenant,
+                         WarmStartPolicy warm_start) = 0;
+  virtual void dedup(JobId follower, JobId primary) = 0;
+  virtual void resolved(JobId id) = 0;
+};
 
 class SolverService {
  public:
-  explicit SolverService(ServiceConfig config = {});
+  /// `executor` null = the local executor over config.num_workers threads.
+  /// A given executor and `sink` are borrowed and must outlive the service.
+  explicit SolverService(ServiceConfig config = {},
+                         Executor* executor = nullptr,
+                         RecordSink* sink = nullptr);
   ~SolverService();  ///< shutdown(): cancels outstanding work, joins all threads
 
   SolverService(const SolverService&) = delete;
@@ -111,10 +141,11 @@ class SolverService {
   bool cancel(JobId id);
 
   /// Stops accepting work, cancels every queued and running job, and joins
-  /// all threads. Every outstanding future resolves. Idempotent; the
-  /// destructor calls it. Journaled jobs it cancels stay open in the journal
-  /// and come back as kResumed in the next incarnation.
-  void shutdown();
+  /// all threads. Every outstanding future resolves, with `status` when the
+  /// shutdown is what ended it. Idempotent; the destructor calls it. Those
+  /// resolutions are never struck from the journal: the jobs come back as
+  /// kResumed in the next incarnation.
+  void shutdown(Status status = Status::cancelled("service shutting down"));
 
   /// Jobs replayed from the journal and re-enqueued by the constructor, in
   /// their original submission order. Single-shot: moves the submissions
@@ -137,9 +168,9 @@ class SolverService {
     std::size_t running_slots = 0;
   };
 
-  /// What the internal submit path reports to both public faces. The future
-  /// is always valid; when `error` is non-OK it has already been resolved
-  /// with that error (the shim hands it out; the new API drops it).
+  /// What the internal submit path reports to submit() and the journal
+  /// replay. The future is always valid; when `error` is non-OK it has
+  /// already been resolved with that error.
   struct SubmitOutcome {
     JobId id = 0;
     TenantId tenant;
@@ -152,13 +183,14 @@ class SolverService {
   SubmitOutcome submit_full(SubmitRequest request, JobOrigin origin,
                             std::uint64_t resume_rank = 0);
   /// Admits a fresh job into the queue: idle-tenant vtime catch-up, id
-  /// assignment from its first waiter, enqueue, and the kSubmitted journal
-  /// append. Shared by the normal accept path and shed-admission so both
-  /// produce identically-initialized jobs.
+  /// assignment from its first waiter, enqueue, and the kSubmitted record.
+  /// Shared by the normal accept path and shed-admission so both produce
+  /// identically-initialized jobs.
   void accept_job_locked(const std::shared_ptr<Job>& job,
                          std::unique_ptr<Waiter> waiter);
-  /// Strikes a journaled waiter's submission record (no-op when journaling
-  /// is off or the waiter never made it into the journal).
+  /// Records a waiter's kSubmitted in the journal file and the sink.
+  void journal_submitted_locked(Waiter& waiter, const mkp::Instance& instance);
+  /// Strikes a recorded waiter (no-op when it never made it into a record).
   void journal_resolved(const Waiter& waiter);
   TenantState& tenant_state_locked(const TenantId& tenant);
   void scheduler_loop();
@@ -166,11 +198,15 @@ class SolverService {
   void sweep_queue_locked();
   void maybe_compact_journal_locked();
   void reap_finished_locked(std::unique_lock<std::mutex>& lock);
-  void run_job(const std::shared_ptr<Job>& job, std::uint64_t start_sequence);
+  void run_job(const std::shared_ptr<Job>& job);
   /// Resolves one waiter that never got (or never will get) a run result.
   static void resolve_waiter(Waiter& waiter, const Job* job, Status status);
 
   ServiceConfig config_;
+  /// Owned local executor; null when the caller supplied one.
+  std::unique_ptr<Executor> local_;
+  Executor* executor_;
+  RecordSink* sink_;
   mutable std::mutex mutex_;
   std::condition_variable wake_;
 
@@ -179,10 +215,11 @@ class SolverService {
   std::map<JobId, std::thread> job_threads_;
   std::vector<JobId> finished_;  ///< job threads done, awaiting join
 
-  std::size_t free_slots_ = 0;
+  std::size_t used_slots_ = 0;  ///< charged by running jobs
   JobId next_id_ = 1;
   std::uint64_t next_start_sequence_ = 1;
   bool stopping_ = false;
+  Status shutdown_status_;  ///< what shutdown() resolves with
   ServiceStats stats_;
 
   /// WFQ ledgers, lazily populated; the global virtual clock tracks the
@@ -193,9 +230,6 @@ class SolverService {
   /// Null when journaling is off (empty path or the journal failed to open).
   std::unique_ptr<journal::JobJournal> journal_;
   std::vector<Submission> recovered_;  ///< replayed jobs, until take_recovered()
-
-  /// Null when ServiceConfig::warm_start_dir is empty.
-  std::unique_ptr<WarmStartStore> warm_store_;
 
   std::thread scheduler_;  // started last, joined by shutdown()
 };
