@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -76,6 +77,11 @@ Expected<parallel::FrameSocket> dial(const std::string& host,
                                port_text);
   }
   return parallel::FrameSocket(fd);
+}
+
+void set_no_delay(parallel::FrameSocket& socket) {
+  const int one = 1;
+  ::setsockopt(socket.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 Client::Client(parallel::FrameSocket socket, std::string host,

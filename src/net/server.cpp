@@ -12,6 +12,7 @@
 #include <cstring>
 #include <utility>
 
+#include "net/client.hpp"
 #include "net/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/transport.hpp"
@@ -332,6 +333,11 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
       // plain pts_serve treats it like any other out-of-place frame.
       if (config_.peer_handler != nullptr) {
         peer_frames_.fetch_add(1);
+        // A PeerHello opens a coordinator's peer link: the node's end
+        // sends without Nagle delay too (see set_no_delay).
+        if (frame->type == parallel::wire::MessageType::kPeerHello) {
+          set_no_delay(conn->socket);
+        }
         auto replies =
             config_.peer_handler->on_peer_frame(frame->type, frame->payload);
         if (replies) {
