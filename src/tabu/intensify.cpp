@@ -1,46 +1,61 @@
 #include "tabu/intensify.hpp"
 
 #include <limits>
+#include <vector>
 
 #include "bounds/greedy.hpp"
 #include "util/check.hpp"
 
 namespace pts::tabu {
 
-namespace {
-
-/// Would dropping `out` and adding `in` keep every constraint satisfied?
-bool exchange_feasible(const mkp::Solution& x, std::size_t out, std::size_t in) {
-  const auto& inst = x.instance();
-  const std::size_t m = inst.num_constraints();
-  for (std::size_t i = 0; i < m; ++i) {
-    const double load = x.load(i) - inst.weight(i, out) + inst.weight(i, in);
-    if (load > inst.capacity(i)) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 std::size_t swap_intensify(mkp::Solution& x, IntensifyStats* stats) {
   const auto& inst = x.instance();
   const std::size_t n = inst.num_items();
+  const std::size_t m = inst.num_constraints();
+  const auto caps = inst.capacities();
+  // Descending profit, ties in index order: only the prefix that out-profits
+  // `out` can hold an improving exchange partner.
+  const auto by_profit = bounds::greedy_item_order(inst, bounds::GreedyOrder::kProfit);
+  std::vector<double> rest(m);  // load_i - a_{i,out}
+  std::size_t tightest = 0;     // argmin_i cap_i - rest_i
+  // Would adding `in` on top of `rest` keep every constraint satisfied?
+  // Same (load - a_out) + a_in expression as a direct per-pair test. Most
+  // partners that do not fit violate the tightest constraint, so it is
+  // tested first; the verdict does not depend on the order.
+  auto fits = [&](std::size_t in) {
+    const auto col = inst.weights_col(in);
+    if (rest[tightest] + col[tightest] > caps[tightest]) return false;
+    for (std::size_t i = 0; i < m; ++i) {
+      if (rest[i] + col[i] > caps[i]) return false;
+    }
+    return true;
+  };
   std::size_t applied = 0;
   bool changed = true;
   while (changed) {
     changed = false;
-    for (std::size_t out = 0; out < n && !changed; ++out) {
-      if (!x.contains(out)) continue;
-      for (std::size_t in = 0; in < n; ++in) {
-        if (x.contains(in)) continue;
-        if (inst.profit(in) <= inst.profit(out)) continue;
-        if (!exchange_feasible(x, out, in)) continue;
-        x.drop(out);
-        x.add(in);
-        ++applied;
-        changed = true;
-        break;
+    const BitVec& bits = x.bits();
+    for (std::size_t out = bits.next_one(0); out < n && !changed;
+         out = bits.next_one(out + 1)) {
+      const double p_out = inst.profit(out);
+      const auto col_out = inst.weights_col(out);
+      tightest = 0;
+      for (std::size_t i = 0; i < m; ++i) {
+        rest[i] = x.load(i) - col_out[i];
+        if (caps[i] - rest[i] < caps[tightest] - rest[tightest]) tightest = i;
       }
+      // The partner is the lowest-index feasible item, as in a scan of the
+      // items in index order; a candidate above the best so far is skipped.
+      std::size_t in = n;
+      for (const std::size_t j : by_profit) {
+        if (!(inst.profit(j) > p_out)) break;
+        if (j < in && !x.contains(j) && fits(j)) in = j;
+      }
+      if (in == n) continue;
+      x.drop(out);
+      x.add(in);
+      ++applied;
+      changed = true;
     }
   }
   if (stats) stats->swaps += applied;

@@ -4,7 +4,13 @@
 // Swap intensification: starting from the best solution of the last local-
 // search loop, exchange a selected item i for an unselected item j with
 // c_j > c_i whenever the exchange stays feasible; every accepted exchange
-// strictly improves the objective. Applied to fixpoint.
+// strictly improves the objective. Applied to fixpoint, first improvement:
+// the selected items are tried in ascending index order, each against the
+// lowest-index feasible partner, and the scan restarts after every swap.
+// The partner search walks the items in descending profit order and stops
+// at the first one that does not out-profit i, so it never visits the
+// exchanges that cannot improve; each feasibility test reads the tightest
+// constraint first.
 //
 // Strategic oscillation: deliberately add items beyond the feasibility
 // boundary (at most `depth` of them — the paper's cost-control device: "we

@@ -8,11 +8,9 @@
 // but only EXECUTED when (a) the CPU supports them and (b) the active kind
 // says so. The active kind is resolved once at startup:
 //
-//   * PTS_SIMD=scalar|avx2|neon|auto in the environment always wins;
-//   * otherwise -DPTS_ENABLE_NATIVE=ON builds default to best_supported()
-//     (the build already opted into non-portable codegen via -march=native);
-//   * otherwise the default is kScalar, so portable builds keep byte-stable
-//     trajectories even if a vector kernel were to drift by an ulp.
+//   * PTS_SIMD=scalar|avx2|neon|auto in the environment wins (an unknown or
+//     unsupported value falls back to the default);
+//   * otherwise the default is best_supported(), in every build.
 //
 // Every vector kernel is required to be BIT-COMPATIBLE with its scalar
 // counterpart (same accumulation tree, no FMA contraction), so switching
