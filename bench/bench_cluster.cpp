@@ -1,12 +1,17 @@
 // Cluster failover-latency bench (experiment index: cluster). Stands up a
-// real coordinator + worker-node mesh on loopback and measures the two
+// real coordinator + worker-node mesh on loopback and measures the
 // latencies DESIGN.md §11 puts bounds on, writing them to
 // BENCH_cluster.json (override with --json=PATH):
 //
-//   dispatch_ms   submit -> resolved for a tiny target-capped job through
-//                 the full stack (coordinator sharding + TCP round trips) —
-//                 the steady-state overhead a cluster adds over a bare
-//                 SolverService
+//   dispatch_ms   submit -> resolved for a tiny job through the full stack
+//                 (coordinator sharding + TCP round trips) — the
+//                 steady-state overhead a cluster adds over a bare
+//                 SolverService. The job carries a target its first
+//                 incumbent beats, so it stops at its first round boundary
+//                 and the figure is the hops, not the job's budget
+//   client_rtt_ms the same jobs submitted by a net::Client through a
+//                 net::Server fronting the coordinator: one more TCP hop,
+//                 the path pts_client takes to pts_cluster
 //   failover_ms   node death -> the stranded job is re-dispatched to a
 //                 survivor. Bounded by heartbeat detection (interval x
 //                 misses) + jittered resubmit backoff + one tick; the gate
@@ -26,9 +31,13 @@
 #include <thread>
 #include <vector>
 
+#include "bounds/greedy.hpp"
 #include "cluster/coordinator.hpp"
 #include "cluster/worker_node.hpp"
 #include "mkp/generator.hpp"
+#include "net/client.hpp"
+#include "net/server.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -71,6 +80,54 @@ service::SubmitRequest make_request(std::uint64_t seed, double budget) {
   request.options.time_budget_seconds = budget;
   request.options.seed = seed;
   return request;
+}
+
+/// A dispatch-round job: the target is half a greedy solution's value, so
+/// the first incumbent beats it and the 50 ms budget never runs out.
+service::SubmitRequest make_hop_request(std::uint64_t seed) {
+  auto request = make_request(seed, 0.05);
+  Rng rng(1);
+  request.options.target_value =
+      bounds::greedy_randomized(*request.instance, rng).value() * 0.5;
+  return request;
+}
+
+/// The dispatch-round jobs again, submitted by a net::Client through a
+/// net::Server that fronts `gateway`. Stops at the first failure, so a
+/// short vector means a failed round.
+std::vector<double> client_round_trips(net::JobGateway& gateway,
+                                       std::size_t rounds) {
+  std::vector<double> rtt_ms;
+  auto server = net::Server::start(gateway, net::ServerConfig{});
+  if (!server) {
+    std::fprintf(stderr, "server start failed: %s\n",
+                 server.status().to_string().c_str());
+    return rtt_ms;
+  }
+  auto client = net::Client::connect("127.0.0.1", (*server)->port());
+  if (!client) {
+    std::fprintf(stderr, "client connect failed: %s\n",
+                 client.status().to_string().c_str());
+    return rtt_ms;
+  }
+  for (std::size_t round = 0; round < rounds; ++round) {
+    const auto start = Clock::now();
+    auto job = client->submit(make_hop_request(kSeed + round));
+    if (!job) {
+      std::fprintf(stderr, "client submit failed: %s\n",
+                   job.status().to_string().c_str());
+      break;
+    }
+    auto result = client->wait(*job, /*timeout_seconds=*/30.0);
+    const Status status = result ? result->status : result.status();
+    if (!status.ok()) {
+      std::fprintf(stderr, "client job failed: %s\n",
+                   status.to_string().c_str());
+      break;
+    }
+    rtt_ms.push_back(ms_since(start));
+  }
+  return rtt_ms;
 }
 
 }  // namespace
@@ -122,7 +179,7 @@ int main(int argc, char** argv) {
   std::vector<double> dispatch_ms;
   for (std::size_t round = 0; round < dispatch_rounds; ++round) {
     const auto start = Clock::now();
-    auto handle = coordinator.submit(make_request(kSeed + round, 0.05));
+    auto handle = coordinator.submit(make_hop_request(kSeed + round));
     if (!handle) {
       std::fprintf(stderr, "submit failed: %s\n",
                    handle.status().to_string().c_str());
@@ -137,9 +194,17 @@ int main(int argc, char** argv) {
     }
     dispatch_ms.push_back(ms_since(start));
   }
-  std::printf("dispatch: %zu jobs, p50 %.1f ms, p95 %.1f ms\n",
+  std::printf("dispatch: %zu jobs, p50 %.2f ms, p95 %.2f ms\n",
               dispatch_ms.size(), percentile(dispatch_ms, 0.50),
               percentile(dispatch_ms, 0.95));
+
+  // -- The same jobs from a client: Client -> Server -> coordinator. -------
+  std::vector<double> client_rtt_ms;
+  if (ok) client_rtt_ms = client_round_trips(coordinator, dispatch_rounds);
+  if (client_rtt_ms.size() < dispatch_rounds) ok = false;
+  std::printf("client rtt: %zu jobs, p50 %.2f ms, p95 %.2f ms\n",
+              client_rtt_ms.size(), percentile(client_rtt_ms, 0.50),
+              percentile(client_rtt_ms, 0.95));
 
   // -- Failover latency: node death -> redispatch on a survivor. -----------
   // Each round needs to know which node runs ITS job, and the only outside
@@ -256,6 +321,13 @@ int main(int argc, char** argv) {
                 "  \"dispatch_p95_ms\": %.3f,\n",
                 dispatch_ms.size(), percentile(dispatch_ms, 0.50),
                 percentile(dispatch_ms, 0.95));
+  json += buffer;
+  std::snprintf(buffer, sizeof buffer,
+                "  \"client_rtt_rounds\": %zu,\n"
+                "  \"client_rtt_p50_ms\": %.3f,\n"
+                "  \"client_rtt_p95_ms\": %.3f,\n",
+                client_rtt_ms.size(), percentile(client_rtt_ms, 0.50),
+                percentile(client_rtt_ms, 0.95));
   json += buffer;
   std::snprintf(buffer, sizeof buffer,
                 "  \"failover_rounds\": %zu,\n"

@@ -367,7 +367,6 @@ void RemoteExecutor::connect_peers() {
       continue;
     }
     peer->socket = std::move(*socket);
-    net::set_no_delay(peer->socket);
     peer->name = welcome.node_name;
     peer->num_workers = std::max<std::uint32_t>(1, welcome.num_workers);
     // The welcome's cursor drives catch-up: replicate_locked resends every

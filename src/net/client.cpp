@@ -76,12 +76,11 @@ Expected<parallel::FrameSocket> dial(const std::string& host,
     return Status::unavailable("net: cannot connect to " + host + ":" +
                                port_text);
   }
-  return parallel::FrameSocket(fd);
-}
-
-void set_no_delay(parallel::FrameSocket& socket) {
+  // Every TCP link is NODELAY (DESIGN.md §10); the accepting end matches in
+  // accept_connection().
   const int one = 1;
-  ::setsockopt(socket.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return parallel::FrameSocket(fd);
 }
 
 Client::Client(parallel::FrameSocket socket, std::string host,

@@ -53,17 +53,12 @@ struct RemoteJob {
 };
 
 /// Resolve-and-connect with a bounded wait: the TCP dial shared by Client,
-/// its reconnect path and the cluster coordinator's peer links.
+/// its reconnect path and the cluster coordinator's peer links. The socket
+/// comes back with Nagle's algorithm off, like every TCP link in this code
+/// base (DESIGN.md §10).
 [[nodiscard]] Expected<parallel::FrameSocket> dial(const std::string& host,
                                                    std::uint16_t port,
                                                    double timeout_seconds);
-
-/// Turns off Nagle's algorithm on a cluster peer link (both ends call it).
-/// A node answers a run with a JobEvent and then the JobResult; with Nagle
-/// on, the second frame waits for the coordinator's ACK of the first, which
-/// rides on whatever the coordinator sends next, so each run's length would
-/// follow the phase of the replication tick and the delayed-ACK timer.
-void set_no_delay(parallel::FrameSocket& socket);
 
 /// How (whether) the client survives a dropped connection. Backoff doubles
 /// per attempt from `initial_backoff_seconds` up to `max_backoff_seconds`,

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -12,7 +13,6 @@
 #include <cstring>
 #include <utility>
 
-#include "net/client.hpp"
 #include "net/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/transport.hpp"
@@ -44,6 +44,18 @@ bool is_peer_type(parallel::wire::MessageType type) {
 }
 
 }  // namespace
+
+int accept_connection(int listen_fd) {
+  const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
+  if (fd < 0) return -1;
+  const int one = 1;
+  // Kernel-level liveness probing backs up the application-level idle
+  // reap: a peer that is gone (not merely quiet) eventually errors the fd.
+  ::setsockopt(fd, SOL_SOCKET, SO_KEEPALIVE, &one, sizeof(one));
+  // Every TCP link is NODELAY (DESIGN.md §10), as dial() makes it.
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return fd;
+}
 
 /// Per-connection state. The reader thread owns `waiters` and the socket's
 /// read side outright; `pending` is shared (reader, waiter threads);
@@ -230,17 +242,13 @@ void Server::accept_loop() {
     const int rc = ::poll(&pfd, 1, /*timeout_ms=*/100);
     if (stop.cancel_requested()) break;
     if (rc <= 0) continue;
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+    const int fd = accept_connection(listen_fd_);
     if (fd < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == ECONNABORTED) continue;
       PTS_LOG_ERROR("net: accept failed: %s", std::strerror(errno));
       break;
     }
     ++accept_seq;
-    // Kernel-level liveness probing backs up the application-level idle
-    // reap: a peer that is gone (not merely quiet) eventually errors the fd.
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_KEEPALIVE, &one, sizeof(one));
 
     // Reap connections whose reader (and therefore waiters) finished, so a
     // long-lived server does not accrete dead Connection records.
@@ -333,11 +341,6 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
       // plain pts_serve treats it like any other out-of-place frame.
       if (config_.peer_handler != nullptr) {
         peer_frames_.fetch_add(1);
-        // A PeerHello opens a coordinator's peer link: the node's end
-        // sends without Nagle delay too (see set_no_delay).
-        if (frame->type == parallel::wire::MessageType::kPeerHello) {
-          set_no_delay(conn->socket);
-        }
         auto replies =
             config_.peer_handler->on_peer_frame(frame->type, frame->payload);
         if (replies) {

@@ -150,6 +150,12 @@ struct NetStats {
   std::uint64_t chaos_injections = 0;         ///< PTS_CHAOS_NET_* activations
 };
 
+/// Accepts one connection on `listen_fd` and configures it as every
+/// accepted link is configured: close-on-exec, SO_KEEPALIVE, and Nagle's
+/// algorithm off (TCP_NODELAY, as dial() sets it on the connecting end).
+/// Returns the fd, or -1 with errno set.
+[[nodiscard]] int accept_connection(int listen_fd);
+
 class Server {
  public:
   /// Binds, listens (port() is final on return) and starts accepting.
