@@ -251,8 +251,10 @@ int main(int argc, char** argv) {
     }
     const auto dispatched_before = coordinator.stats().dispatched;
     const auto victim_port = victim->port();
-    victim->stop();
+    // The clock starts before stop(): the coordinator may notice the closed
+    // links and redispatch while stop() is still tearing the node down.
     const auto death = Clock::now();
+    victim->stop();
 
     // Redispatch (not resolution) is the failover metric: the re-solve
     // itself costs the job's own budget, which is not the cluster's doing.

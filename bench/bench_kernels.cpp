@@ -4,19 +4,22 @@
 // kernels the master relies on.
 //
 // In addition to the google-benchmark suite, a self-timed comparison of the
-// fused column-major fit_and_score sweep against the historical two-pass
-// row-major scalar path always runs first and writes machine-readable
-// results to BENCH_kernels.json (override with --json=PATH). The table has
-// three columns per shape — two-pass scalar reference, fused kernel pinned
-// to scalar dispatch, fused kernel on the best vector kind — plus three
+// hoisted AddScan sweep against per-call fit_and_score_scalar always runs
+// first and writes machine-readable results to BENCH_kernels.json (override
+// with --json=PATH). The table has three columns per shape — the scalar
+// reference called once per item, the AddScan sweep pinned to scalar
+// dispatch, the AddScan sweep on the best vector kind — plus four
 // self-timed sections: the cooperation round-trip latency (scatter→gather,
 // thread vs process backend), the 25x500 hot-path figures (sweeps per add
 // and µs per MoveKernel::apply over a fixed-seed move replay, µs per
-// swap_intensify call on states taken from it) and the core-reduction work
-// comparison on the paper's 10x500 / 30x500 GK shapes. `--smoke` skips the
-// google-benchmark suite, shrinks everything to well under the ctest
-// timeout, and exits nonzero if the fused kernel fails to beat the scalar
-// reference or the vector kind regresses against fused-scalar — the
+// swap_intensify call on states taken from it), the 25x500 engine figures
+// (µs per move, intensification share and µs per select_drop of a
+// fixed-seed tabu_search for the two kinds of slave that set a balanced
+// round) and the core-reduction work comparison on the paper's 10x500 /
+// 30x500 GK shapes. `--smoke` skips the google-benchmark suite, shrinks
+// everything to well under the ctest timeout, and exits nonzero if the
+// AddScan sweep is more than 10% slower than the per-call scalar reference
+// or the vector kind regresses against the scalar sweep — the
 // `bench_smoke_kernels` regression gate.
 #include <benchmark/benchmark.h>
 
@@ -38,6 +41,7 @@
 #include "parallel/runner.hpp"
 #include "tabu/cets.hpp"
 #include "tabu/elite_pool.hpp"
+#include "tabu/engine.hpp"
 #include "tabu/intensify.hpp"
 #include "tabu/kernels.hpp"
 #include "tabu/moves.hpp"
@@ -67,38 +71,38 @@ mkp::Solution sweep_state(const mkp::Instance& inst) {
   return x;
 }
 
-// One full candidate sweep with the pre-mirror path: every unselected item
-// pays the strided fits() pass and, when feasible, the strided score pass.
-double sweep_scalar_reference(const mkp::Solution& x) {
+// One full candidate sweep through the scalar reference, called per item:
+// every unselected item pays the per-call pointer set-up, the O(1) prune
+// and, past it, the scalar fused body.
+double sweep_scalar(const mkp::Solution& x) {
   const std::size_t n = x.num_items();
   double acc = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
     if (x.contains(j)) continue;
-    const auto fs = tabu::kernels::fit_and_score_reference(x, j);
+    const auto fs = tabu::kernels::fit_and_score_scalar(x, j);
     if (fs.fit) acc += fs.score;
   }
   return acc;
 }
 
-// The same sweep through the fused column-major kernel with O(1) pruning
-// and a word-level zero-scan of the selection mask.
+// The same sweep through the fused column-major kernel with O(1) pruning,
+// enumerating the unselected items word by word as the engine's Add list
+// does (BitVec::for_each_zero).
 double sweep_fused(const mkp::Solution& x) {
-  const std::size_t n = x.num_items();
-  const BitVec& bits = x.bits();
   // One AddScan per sweep, exactly as the engine's select_add does: the
   // dispatch resolve and pointer bundle are hoisted, candidates evaluated
   // through the same prune + checked/certain-fit bodies.
   const tabu::kernels::AddScan scan(x);
   double acc = 0.0;
-  for (std::size_t j = bits.next_zero(0); j < n; j = bits.next_zero(j + 1)) {
+  x.bits().for_each_zero([&](std::size_t j) {
     const auto fs = scan(j);
     if (fs.fit) acc += fs.score;
-  }
+  });
   return acc;
 }
 
 struct SweepTiming {
-  double scalar_ns_per_sweep = 0.0;  ///< two-pass row-major reference
+  double scalar_ns_per_sweep = 0.0;  ///< fit_and_score_scalar, once per item
   double fused_ns_per_sweep = 0.0;   ///< fused kernel, dispatch pinned to scalar
   double simd_ns_per_sweep = 0.0;    ///< fused kernel, best supported vector kind
   [[nodiscard]] double speedup() const {
@@ -128,11 +132,11 @@ SweepTiming time_sweeps(const mkp::Instance& inst, std::size_t reps) {
   const auto vector_kind = simd::best_supported();
   SweepTiming timing;
   // Interleave A/B/C/A/B/C halves so no path benefits from running last.
-  // The dispatch pin makes the columns honest: "fused" is the PR 1 scalar
-  // kernel even on AVX2 hardware, "simd" is the vector path.
+  // The dispatch pin makes the columns honest: "fused" is the scalar body
+  // even on AVX2 hardware, "simd" is the vector path.
   const auto scalar_pass = [&] {
     simd::set_active(simd::Kind::kScalar);
-    return time_ns_per_call([&] { return sweep_scalar_reference(x); }, reps / 2);
+    return time_ns_per_call([&] { return sweep_scalar(x); }, reps / 2);
   };
   const auto fused_pass = [&] {
     simd::set_active(simd::Kind::kScalar);
@@ -352,6 +356,117 @@ HotPathFigures time_hot_path(std::size_t reps) {
   return out;
 }
 
+/// The two kinds of slave that hold a 25x500 balanced-preset round (the
+/// e2e solve's fixed job): many drops with every fitting item scored and
+/// swap intensification, and one drop with 25 sampled candidates and
+/// strategic oscillation. Their drop, candidate and patience values are the
+/// job's; the tenure is fixed at 15 as in the hot-path replay.
+struct EngineCase {
+  const char* name;
+  tabu::Strategy strategy;
+  tabu::IntensificationKind intensification;
+};
+
+const EngineCase kEngineCases[] = {
+    {"drop4_all_swap",
+     {.tabu_tenure = 15, .nb_drop = 4, .nb_local = 34, .nb_candidates = 0},
+     tabu::IntensificationKind::kSwap},
+    {"drop1_cand25_oscillation",
+     {.tabu_tenure = 15, .nb_drop = 1, .nb_local = 138, .nb_candidates = 25},
+     tabu::IntensificationKind::kStrategicOscillation},
+};
+
+/// Wall-clock split of one tabu_search run: the intensification phase is
+/// the interval from the last move of a local-search loop to the
+/// on_intensification callback that follows it.
+class PhaseClock final : public tabu::TsTrace {
+ public:
+  void on_move(std::uint64_t, double, bool) override { last_ = Clock::now(); }
+  void on_intensification(tabu::IntensificationKind, double, double) override {
+    intensify_ += Clock::now() - last_;
+  }
+  [[nodiscard]] double intensify_seconds() const {
+    return std::chrono::duration<double>(intensify_).count();
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point last_ = Clock::now();
+  Clock::duration intensify_{0};
+};
+
+struct EngineFigures {
+  std::uint64_t moves = 0;
+  double best = 0.0;
+  double move_us = 0.0;          ///< run wall per move, every phase included
+  double intensify_share = 0.0;  ///< share of the run wall in intensification
+  double drop_us = 0.0;          ///< per MoveKernel::select_drop call
+};
+
+/// A fixed-seed tabu_search with the case's strategy (moves and best are
+/// machine-independent), then select_drop timed on states of a move replay
+/// with the same strategy. Times are minima over three passes.
+EngineFigures time_engine(const EngineCase& engine_case, std::uint64_t max_moves,
+                          std::size_t drop_reps) {
+  const auto inst = bench_instance(500, 25);
+  tabu::TsParams params;
+  params.strategy = engine_case.strategy;
+  params.intensification = engine_case.intensification;
+  params.max_moves = max_moves;
+
+  EngineFigures out;
+  for (int pass = 0; pass < 3; ++pass) {
+    Rng rng(2024);
+    PhaseClock clock;
+    const auto begin = std::chrono::steady_clock::now();
+    const auto result = tabu::tabu_search_from_scratch(inst, params, rng, &clock);
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
+    const double move_us = seconds * 1e6 / static_cast<double>(result.moves);
+    if (pass == 0 || move_us < out.move_us) {
+      out.move_us = move_us;
+      out.intensify_share = clock.intensify_seconds() / seconds;
+    }
+    out.moves = result.moves;
+    out.best = result.best_value;
+  }
+
+  struct DropState {
+    mkp::Solution x;
+    tabu::TabuList tabu;
+    std::uint64_t iter;
+  };
+  const tabu::MoveKernel kernel(inst);
+  auto x = bounds::greedy_construct(inst);
+  tabu::TabuList tabu(inst.num_items());
+  Rng rng(2024);
+  tabu::MoveStats stats;
+  std::vector<DropState> states;
+  double best = x.value();
+  for (std::uint64_t iter = 1; iter <= 400; ++iter) {
+    kernel.apply(x, tabu, iter, engine_case.strategy, engine_case.strategy.tabu_tenure,
+                 best, rng, stats);
+    best = std::max(best, x.value());
+    if (iter > 200 && iter % 4 == 0) states.push_back({x, tabu, iter + 1});
+  }
+  const auto drop_pass = [&] {
+    return time_ns_per_call(
+               [&] {
+                 double acc = 0.0;
+                 for (const auto& state : states) {
+                   acc += static_cast<double>(
+                       *kernel.select_drop(state.x, state.tabu, state.iter));
+                 }
+                 return acc;
+               },
+               drop_reps) *
+           1e-3 / static_cast<double>(states.size());
+  };
+  out.drop_us = drop_pass();
+  for (int pass = 0; pass < 2; ++pass) out.drop_us = std::min(out.drop_us, drop_pass());
+  return out;
+}
+
 /// Writes BENCH_kernels.json and returns 0 when the fused kernel is no more
 /// than `tolerance` slower than the scalar reference on every shape AND the
 /// vector kind never regresses against fused-scalar.
@@ -455,6 +570,33 @@ int run_kernel_comparison(const std::string& json_path, bool smoke) {
         simd::to_string(vector_kind), hot.swap_us);
   }
 
+  // Engine figures for the two kinds of slave that set a 25x500 round.
+  json += ",\n  \"engine_25x500\": [\n";
+  for (std::size_t c = 0; c < std::size(kEngineCases); ++c) {
+    const auto& engine_case = kEngineCases[c];
+    const auto fig = time_engine(engine_case, smoke ? 600 : 3000, smoke ? 20 : 400);
+    const auto& strategy = engine_case.strategy;
+    char row[512];
+    std::snprintf(row, sizeof(row),
+                  "    {\"strategy\": \"%s\", \"nb_drop\": %zu, \"nb_candidates\": %zu, "
+                  "\"nb_local\": %zu, \"tabu_tenure\": %zu, \"intensify\": \"%s\", "
+                  "\"moves\": %llu, \"best\": %.1f, \"move_us\": %.2f, "
+                  "\"intensify_share\": %.3f, \"drop_us\": %.3f}%s\n",
+                  engine_case.name, strategy.nb_drop, strategy.nb_candidates,
+                  strategy.nb_local, strategy.tabu_tenure,
+                  tabu::to_string(engine_case.intensification),
+                  static_cast<unsigned long long>(fig.moves), fig.best, fig.move_us,
+                  fig.intensify_share, fig.drop_us,
+                  c + 1 < std::size(kEngineCases) ? "," : "");
+    json += row;
+    std::printf(
+        "engine 25x500 %s: %.1f us/move over %llu moves, %.0f%% intensifying, "
+        "select_drop %.3f us\n",
+        engine_case.name, fig.move_us, static_cast<unsigned long long>(fig.moves),
+        100.0 * fig.intensify_share, fig.drop_us);
+  }
+  json += "  ]";
+
   // Core-problem reduction on the GK shapes the acceptance names: the core
   // run chases the full run's best and reports the moves it took.
   json += ",\n  \"core_reduction\": [\n";
@@ -504,17 +646,17 @@ int run_kernel_comparison(const std::string& json_path, bool smoke) {
   return 0;
 }
 
-void BM_FitScoreSweepScalarRef(benchmark::State& state) {
+void BM_FitScoreSweepScalar(benchmark::State& state) {
   const auto inst = bench_instance(static_cast<std::size_t>(state.range(1)),
                                    static_cast<std::size_t>(state.range(0)));
   const auto x = sweep_state(inst);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sweep_scalar_reference(x));
+    benchmark::DoNotOptimize(sweep_scalar(x));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(1));
 }
-BENCHMARK(BM_FitScoreSweepScalarRef)->Args({5, 100})->Args({25, 500});
+BENCHMARK(BM_FitScoreSweepScalar)->Args({5, 100})->Args({25, 500});
 
 void BM_FitScoreSweepFused(benchmark::State& state) {
   const auto inst = bench_instance(static_cast<std::size_t>(state.range(1)),

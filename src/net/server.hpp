@@ -21,11 +21,13 @@
 // (their send fails), never blocked on.
 //
 // Half-open reaping. Readers never block forever on a silent peer: accepted
-// sockets run with TCP keepalive, and a connection that stays byte-silent
-// for ServerConfig::idle_timeout_seconds with NO outstanding submissions is
+// sockets run with TCP keepalive, and a connection that stays silent for
+// ServerConfig::idle_timeout_seconds with NO outstanding submissions is
 // reaped (a client blocked in wait() has outstanding work, so it is never
 // reaped while a result is owed — and cluster peer links ping well inside
-// any sane timeout). This is what keeps a dead NAT entry or a kill -9'd
+// any sane timeout). Silent means no inbound frame and no result written:
+// a submission stays outstanding until its result's last frame is out, and
+// the timeout restarts after it. This is what keeps a dead NAT entry or a kill -9'd
 // client from pinning a reader thread and a connection slot forever.
 //
 // Drain. drain(timeout) stops accepting, sends every connected client a
@@ -127,9 +129,9 @@ struct ServerConfig {
   /// machine — never trusted). Empty = the server host's default discovery
   /// (parallel::default_worker_path()).
   std::string worker_path;
-  /// Reap a connection that has been byte-silent this long with no
-  /// outstanding submissions (half-open peer, dead NAT entry, vanished
-  /// client). A connection that is owed a result is never reaped. 0 turns
+  /// Reap a connection that has been silent this long (no inbound frame, no
+  /// result written) with no outstanding submissions (half-open peer, dead
+  /// NAT entry, vanished client). A connection that is owed a result is never reaped. 0 turns
   /// reaping off (readers still honour stop()).
   double idle_timeout_seconds = 300.0;
   /// Non-null: this server answers cluster peer frames through the handler

@@ -1,6 +1,7 @@
 #include "parallel/slave.hpp"
 
 #include <chrono>
+#include <cstdint>
 #include <stdexcept>
 #include <thread>
 
@@ -17,10 +18,23 @@ Report run_assignment(const mkp::Instance& inst, std::size_t slave_id,
   Rng rng = base.derive((static_cast<std::uint64_t>(slave_id) << 32) ^
                         static_cast<std::uint64_t>(assignment.round));
 
-  obs::SpanScope span("slave_ts_round",
-                      {{"slave", static_cast<double>(slave_id)},
-                       {"round", static_cast<double>(assignment.round)}});
+  // The round's span carries the strategy that set its cost and the moves
+  // it made, so a trace shows which slave holds the rendezvous and why.
+  const bool traced = obs::tracer().enabled();
+  const std::int64_t start_us = traced ? obs::tracer().now_us() : 0;
   auto ts = tabu::tabu_search(inst, assignment.initial, assignment.params, rng);
+  if (traced) {
+    const auto& params = assignment.params;
+    obs::tracer().span(
+        "slave_ts_round", start_us,
+        {{"slave", static_cast<double>(slave_id)},
+         {"round", static_cast<double>(assignment.round)},
+         {"nb_drop", static_cast<double>(params.strategy.nb_drop)},
+         {"nb_candidates", static_cast<double>(params.strategy.nb_candidates)},
+         {"nb_local", static_cast<double>(params.strategy.nb_local)},
+         {"moves", static_cast<double>(ts.moves)}},
+        "intensify", tabu::to_string(params.intensification));
+  }
 
   Report report;
   report.slave_id = slave_id;

@@ -1,5 +1,7 @@
 #include "tabu/intensify.hpp"
 
+#include <algorithm>
+#include <cstddef>
 #include <limits>
 #include <vector>
 
@@ -14,8 +16,17 @@ std::size_t swap_intensify(mkp::Solution& x, IntensifyStats* stats) {
   const std::size_t m = inst.num_constraints();
   const auto caps = inst.capacities();
   // Descending profit, ties in index order: only the prefix that out-profits
-  // `out` can hold an improving exchange partner.
+  // `out` can hold an improving exchange partner. The unselected items stay
+  // in that order for the whole call: a swap erases `in` and re-inserts
+  // `out` at its rank, so the partner walk never meets a selected item.
   const auto by_profit = bounds::greedy_item_order(inst, bounds::GreedyOrder::kProfit);
+  std::vector<std::size_t> rank(n);
+  for (std::size_t k = 0; k < n; ++k) rank[by_profit[k]] = k;
+  std::vector<std::size_t> unselected;
+  unselected.reserve(n - x.cardinality() + 1);
+  for (const std::size_t j : by_profit) {
+    if (!x.contains(j)) unselected.push_back(j);
+  }
   std::vector<double> rest(m);  // load_i - a_{i,out}
   std::size_t tightest = 0;     // argmin_i cap_i - rest_i
   // Would adding `in` on top of `rest` keep every constraint satisfied?
@@ -47,13 +58,24 @@ std::size_t swap_intensify(mkp::Solution& x, IntensifyStats* stats) {
       // The partner is the lowest-index feasible item, as in a scan of the
       // items in index order; a candidate above the best so far is skipped.
       std::size_t in = n;
-      for (const std::size_t j : by_profit) {
+      std::size_t in_pos = 0;
+      for (std::size_t k = 0; k < unselected.size(); ++k) {
+        const std::size_t j = unselected[k];
         if (!(inst.profit(j) > p_out)) break;
-        if (j < in && !x.contains(j) && fits(j)) in = j;
+        if (j < in && fits(j)) {
+          in = j;
+          in_pos = k;
+        }
       }
       if (in == n) continue;
       x.drop(out);
       x.add(in);
+      unselected.erase(unselected.begin() + static_cast<std::ptrdiff_t>(in_pos));
+      unselected.insert(std::lower_bound(unselected.begin(), unselected.end(), out,
+                                         [&](std::size_t a, std::size_t b) {
+                                           return rank[a] < rank[b];
+                                         }),
+                        out);
       ++applied;
       changed = true;
     }

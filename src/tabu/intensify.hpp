@@ -7,10 +7,11 @@
 // strictly improves the objective. Applied to fixpoint, first improvement:
 // the selected items are tried in ascending index order, each against the
 // lowest-index feasible partner, and the scan restarts after every swap.
-// The partner search walks the items in descending profit order and stops
-// at the first one that does not out-profit i, so it never visits the
-// exchanges that cannot improve; each feasibility test reads the tightest
-// constraint first.
+// The partner search walks the unselected items in descending profit order
+// and stops at the first one that does not out-profit i, so it never visits
+// a selected item or an exchange that cannot improve; each feasibility test
+// reads the tightest constraint first. That list is built once per call and
+// kept in order across swaps (the partner leaves it, i enters at its rank).
 //
 // Strategic oscillation: deliberately add items beyond the feasibility
 // boundary (at most `depth` of them — the paper's cost-control device: "we

@@ -1,7 +1,5 @@
 #include "tabu/kernels.hpp"
 
-#include <algorithm>
-
 #include "obs/counters.hpp"
 #include "tabu/kernels_detail.hpp"
 
@@ -132,28 +130,6 @@ FitScore fit_and_score_vector(const mkp::Solution& x, std::size_t j, simd::Kind 
   }
   obs::bump(obs::Counter::kFitScoreCalls);
   return pick_body(kind)(detail::make_scan_ctx(x), j);
-}
-
-FitScore fit_and_score_reference(const mkp::Solution& x, std::size_t j) {
-  const mkp::Instance& inst = x.instance();
-  const std::size_t m = inst.num_constraints();
-  // Pass 1: the pre-mirror Solution::fits — stride-n reads of column j.
-  for (std::size_t i = 0; i < m; ++i) {
-    if (x.load(i) + inst.weight(i, j) > inst.capacity(i)) return {};
-  }
-  // Pass 2: the pre-mirror MoveKernel::add_score — a second strided sweep.
-  double scaled_weight = 0.0;
-  for (std::size_t i = 0; i < m; ++i) {
-    const double w = inst.weight(i, j);
-    if (w == 0.0) continue;
-    const double slack = x.slack(i);
-    if (slack <= 0.0) return {true, 0.0};
-    scaled_weight += w / std::max(slack, kSlackFloor);
-  }
-  if (scaled_weight == 0.0) {
-    return {true, std::numeric_limits<double>::infinity()};
-  }
-  return {true, inst.profit(j) / scaled_weight};
 }
 
 }  // namespace pts::tabu::kernels

@@ -26,9 +26,8 @@
 // constraint, so the column need not be touched at all. (Exact for the
 // integral-valued weights every generator and OR-Library file produces.)
 //
-// fit_and_score_reference() preserves the pre-mirror strided access pattern
-// verbatim; bench_kernels and the equivalence property tests compare
-// against it.
+// fit_and_score_scalar() is the one scalar reference: the vector bodies are
+// validated against it bit for bit, and bench_kernels times it per call.
 
 #include <cstddef>
 #include <limits>
@@ -77,8 +76,7 @@ using ScanBody = FitScore (*)(const ScanCtx&, std::size_t);
 
 /// Fused feasibility + score in one pass over the contiguous weight column,
 /// early-out on the first violated constraint. When `fit` is false the
-/// score is 0 and must not be used (the scalar add_score can report a
-/// nonzero score for a non-fitting item; callers always test fit first).
+/// score is 0 and must not be used; callers always test fit first.
 ///
 /// Dispatches on simd::active(): the scalar fused loop, or a bit-compatible
 /// AVX2/NEON vector body (see kernels_simd.cpp — identical accumulation
@@ -94,11 +92,6 @@ using ScanBody = FitScore (*)(const ScanCtx&, std::size_t);
 [[nodiscard]] FitScore fit_and_score_scalar(const mkp::Solution& x, std::size_t j);
 [[nodiscard]] FitScore fit_and_score_vector(const mkp::Solution& x, std::size_t j,
                                             simd::Kind kind);
-
-/// The historical two-pass scalar path: Solution::fits-style check followed
-/// by MoveKernel::add_score-style scoring, both reading a_ij at stride n
-/// from the row-major matrix. Kept as the benchmark/test reference.
-[[nodiscard]] FitScore fit_and_score_reference(const mkp::Solution& x, std::size_t j);
 
 /// Per-sweep candidate evaluator: resolves dispatch and derives the
 /// solution-invariant pointers ONCE, then evaluates candidates with the

@@ -1,31 +1,32 @@
 #include "tabu/moves.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
-#include "obs/counters.hpp"
 #include "tabu/kernels.hpp"
 #include "util/check.hpp"
 
 namespace pts::tabu {
 
-double MoveKernel::add_score(const mkp::Solution& x, std::size_t j) const {
-  const auto col = inst_->weights_col(j);
-  const auto inv = x.inv_slack();
-  const std::size_t m = col.size();
-  double scaled_weight = 0.0;
-  for (std::size_t i = 0; i < m; ++i) {
-    const double w = col[i];
-    if (w == 0.0) continue;
-    if (x.slack(i) <= 0.0) return 0.0;  // cannot fit anyway
-    // Multiply by the precomputed reciprocal as kernels::fit_and_score does;
-    // the fused kernel's unrolled accumulation may differ from this single
-    // chain by ulps (see kernels.hpp), never more.
-    scaled_weight += w * inv[i];
+MoveKernel::MoveKernel(const mkp::Instance& inst)
+    : inst_(&inst), drop_order_(inst.num_constraints()) {}
+
+const std::vector<std::size_t>& MoveKernel::drop_order(std::size_t i) const {
+  auto& order = drop_order_[i];
+  if (!order.empty()) return order;
+  const auto row = inst_->weights_row(i);
+  const std::size_t n = inst_->num_items();
+  std::vector<double> keys(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const double profit = inst_->profit(j);
+    keys[j] = profit > 0.0 ? row[j] / profit : std::numeric_limits<double>::infinity();
+    // A key the rule can never pick (not above its -1 floor, or NaN) is
+    // left out of the order; with nonnegative weights every item is in it.
+    if (keys[j] > -1.0) order.push_back(j);
   }
-  if (scaled_weight == 0.0) return std::numeric_limits<double>::infinity();
-  return inst_->profit(j) / scaled_weight;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return keys[a] > keys[b]; });
+  return order;
 }
 
 std::optional<std::size_t> MoveKernel::select_drop(const mkp::Solution& x,
@@ -35,33 +36,20 @@ std::optional<std::size_t> MoveKernel::select_drop(const mkp::Solution& x,
   if (forced) *forced = false;
   if (x.cardinality() == 0) return std::nullopt;
 
-  const std::size_t bottleneck = x.most_saturated_constraint();
-  const auto row = inst_->weights_row(bottleneck);
-  const std::size_t n = inst_->num_items();
-
-  auto pick = [&](bool honor_tabu) -> std::optional<std::size_t> {
-    std::size_t best = n;
-    double best_key = -1.0;
-    // Word-level scan of the selection mask: only selected items are visited.
-    const BitVec& bits = x.bits();
-    for (std::size_t j = bits.next_one(0); j < n; j = bits.next_one(j + 1)) {
-      if (honor_tabu && tabu.is_drop_tabu(j, iter)) continue;
-      const double profit = inst_->profit(j);
-      const double key = profit > 0.0 ? row[j] / profit
-                                      : std::numeric_limits<double>::infinity();
-      if (key > best_key) {
-        best_key = key;
-        best = j;
-      }
-    }
-    return best < n ? std::optional<std::size_t>(best) : std::nullopt;
-  };
-
-  if (auto choice = pick(/*honor_tabu=*/true)) return choice;
+  // The first selected item in the bottleneck row's order has the largest
+  // key and, among equal keys, the lowest index: the linear scan's pick.
+  const auto& order = drop_order(x.most_saturated_constraint());
+  const BitVec& bits = x.bits();
+  for (const std::size_t j : order) {
+    if (bits.test(j) && !tabu.is_drop_tabu(j, iter)) return j;
+  }
   // Every selected item is drop-tabu: the search must still move, so fall
   // back to the untabooed rule (recorded as a forced drop).
   if (forced) *forced = true;
-  return pick(/*honor_tabu=*/false);
+  for (const std::size_t j : order) {
+    if (bits.test(j)) return j;
+  }
+  return std::nullopt;
 }
 
 namespace {
@@ -71,13 +59,9 @@ constexpr std::size_t kStruck = std::numeric_limits<std::size_t>::max();
 /// The unselected items of x in ascending index order: an Add phase's
 /// initial candidate list.
 std::vector<std::size_t> unselected_items(const mkp::Solution& x) {
-  const BitVec& bits = x.bits();
-  const std::size_t n = bits.size();
   std::vector<std::size_t> items;
-  items.reserve(n - x.cardinality());
-  for (std::size_t j = bits.next_zero(0); j < n; j = bits.next_zero(j + 1)) {
-    items.push_back(j);
-  }
+  items.reserve(x.num_items() - x.cardinality());
+  x.bits().for_each_zero([&](std::size_t j) { items.push_back(j); });
   return items;
 }
 

@@ -4,14 +4,20 @@
 //   Drop: pick the most saturated constraint i*, then among selected items
 //         the one maximizing a_{i*,j} / c_j (most load per unit profit on the
 //         bottleneck), skipping drop-tabu items. Repeat up to Nb_drop times.
+//         Each row's items are sorted once by that key, the first time the
+//         row is the bottleneck, so a drop walks the order to the first
+//         selected item that is not tabu: no division per selected item.
 //   Add : greedily re-add fitting items — highest slack-scaled profit
 //         density first — skipping add-tabu items unless the aspiration
 //         criterion fires (the add would push the objective above the best
 //         value found so far). One candidate list per move serves every
 //         pick of the phase; items that stop fitting are struck from it.
+//         The list is read off the selection mask word by word.
 //
-// The kernel is stateless w.r.t. the search; all memory lives in TabuList /
-// FrequencyMemory, which makes each rule unit-testable in isolation.
+// The kernel holds no search state: all memory lives in TabuList /
+// FrequencyMemory, which makes each rule unit-testable in isolation. Its
+// only state is the lazily sorted Drop orders, a function of the instance,
+// so a kernel must not be shared between threads.
 
 #include <cstdint>
 #include <optional>
@@ -41,7 +47,7 @@ struct MoveOutcome {
 
 class MoveKernel {
  public:
-  explicit MoveKernel(const mkp::Instance& inst) : inst_(&inst) {}
+  explicit MoveKernel(const mkp::Instance& inst);
 
   /// One full Drop/Add move. `tenure` is the effective tabu tenure for this
   /// iteration (the engine may override the strategy's static value under
@@ -53,7 +59,8 @@ class MoveKernel {
 
   /// The Drop rule alone: the item to drop, or nullopt for an empty solution.
   /// If every selected item is drop-tabu, falls back to the rule ignoring
-  /// tabu (sets `forced` when provided).
+  /// tabu (sets `forced` when provided). Ties in a_{i*,j} / c_j go to the
+  /// lowest index, and items with c_j <= 0 rank first (infinite key).
   [[nodiscard]] std::optional<std::size_t> select_drop(const mkp::Solution& x,
                                                        const TabuList& tabu,
                                                        std::uint64_t iter,
@@ -86,13 +93,13 @@ class MoveKernel {
       double best_value, MoveStats* stats = nullptr, Rng* rng = nullptr,
       std::size_t max_candidates = 0) const;
 
-  /// Slack-scaled profit density of item j for the current solution:
-  /// c_j / sum_i (a_ij / slack_i). Larger is better; constraints at zero
-  /// slack make unfit items score zero. Exposed for the oscillation phase.
-  [[nodiscard]] double add_score(const mkp::Solution& x, std::size_t j) const;
-
  private:
+  /// Row i's items by descending a_ij / c_j, ties in ascending index (a
+  /// stable sort of the index order), built on first use.
+  [[nodiscard]] const std::vector<std::size_t>& drop_order(std::size_t i) const;
+
   const mkp::Instance* inst_;
+  mutable std::vector<std::vector<std::size_t>> drop_order_;  ///< one per row
 };
 
 }  // namespace pts::tabu

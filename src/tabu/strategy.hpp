@@ -54,6 +54,18 @@ enum class IntensificationKind : std::uint8_t {
   kStrategicOscillation,   ///< §3.2 depth-limited infeasible excursion
 };
 
+[[nodiscard]] inline const char* to_string(IntensificationKind kind) {
+  switch (kind) {
+    case IntensificationKind::kNone:
+      return "none";
+    case IntensificationKind::kSwap:
+      return "swap";
+    case IntensificationKind::kStrategicOscillation:
+      return "oscillation";
+  }
+  return "unknown";
+}
+
 enum class TenureControl : std::uint8_t {
   kFixed,               ///< static tenure from the strategy (paper's slaves)
   kReverseElimination,  ///< REM running list (Dammeyer–Voss comparator)

@@ -3,6 +3,7 @@
 // solution hashing. Word-parallel operations keep the master's pool-spread
 // analysis (pairwise Hamming distances over B-best pools) cheap.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -52,10 +53,30 @@ class BitVec {
   /// Word-level scan: skipping a fully-clear 64-bit word costs one compare.
   [[nodiscard]] std::size_t next_one(std::size_t from) const;
 
-  /// Index of the first clear bit at position >= from, or size() if none.
-  /// Lets candidate loops iterate the complement of a dense selection mask
-  /// without testing every bit individually.
-  [[nodiscard]] std::size_t next_zero(std::size_t from) const;
+  /// Calls fn(i) for every set bit, ascending, one countr_zero per bit:
+  /// the inline word walk for loops that visit every member.
+  template <typename Fn>
+  void for_each_one(Fn&& fn) const {
+    for (std::size_t k = 0; k < words_.size(); ++k) {
+      for (std::uint64_t w = words_[k]; w != 0; w &= w - 1) {
+        fn((k << 6) + static_cast<std::size_t>(std::countr_zero(w)));
+      }
+    }
+  }
+
+  /// Calls fn(i) for every clear bit below size(), ascending. The pad bits
+  /// at or above size() in the last word are masked, never visited.
+  template <typename Fn>
+  void for_each_zero(Fn&& fn) const {
+    const std::size_t nwords = words_.size();
+    for (std::size_t k = 0; k < nwords; ++k) {
+      std::uint64_t w = ~words_[k];
+      if (k + 1 == nwords && (nbits_ & 63) != 0) w &= (1ULL << (nbits_ & 63)) - 1;
+      for (; w != 0; w &= w - 1) {
+        fn((k << 6) + static_cast<std::size_t>(std::countr_zero(w)));
+      }
+    }
+  }
 
   /// Number of positions where the two vectors differ. Sizes must match.
   [[nodiscard]] std::size_t hamming_distance(const BitVec& other) const;

@@ -352,6 +352,31 @@ TEST(NetServer, ConnectionOwedAResultIsNeverReaped) {
   EXPECT_EQ(harness.server->stats().connections_reaped, 0u);
 }
 
+TEST(NetServer, ResultRestartsTheIdleClock) {
+  // Writing a result is traffic: once the answer is out, a silent client
+  // has a full idle timeout before its connection is reaped, however long
+  // its solve kept it quiet.
+  ServerConfig net;
+  net.idle_timeout_seconds = 0.3;
+  Harness harness({}, net);
+  Client client = harness.connect();
+  auto job = client.submit(make_request(make_instance(), /*budget=*/0.6));
+  ASSERT_TRUE(job) << job.status().to_string();
+  auto result = client.wait(*job, /*timeout_seconds=*/60.0);
+  ASSERT_TRUE(result) << result.status().to_string();
+  const auto answered = std::chrono::steady_clock::now();
+
+  const auto deadline = answered + std::chrono::seconds(10);
+  while (harness.server->stats().connections_reaped == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(5ms);
+  }
+  EXPECT_EQ(harness.server->stats().connections_reaped, 1u);
+  const double quiet =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - answered).count();
+  EXPECT_GE(quiet, 0.25) << "reaped " << quiet << " s after the result";
+}
+
 TEST(NetServer, StopWithOutstandingWorkTerminates) {
   // stop() without a drain must cancel outstanding submissions and join
   // every thread — a hang here is the bug.

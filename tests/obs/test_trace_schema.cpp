@@ -115,6 +115,16 @@ TEST(TraceSchema, Cts2TraceSatisfiesTheContract) {
   EXPECT_GE(count_events(events, "isp"), 1U);
   EXPECT_GE(count_events(events, "slave_ts_round"), 1U);
   EXPECT_GE(count_events(events, "sgp_retune"), 1U);
+  // Every slave round names the strategy that set its cost and its moves.
+  for (const auto& event : events) {
+    if (event.find("\"name\":\"slave_ts_round\"") == std::string::npos) continue;
+    for (const char* key :
+         {"slave", "round", "nb_drop", "nb_candidates", "nb_local", "moves", "intensify"}) {
+      EXPECT_TRUE(has_field(event, key)) << key << " missing in: " << event;
+    }
+    EXPECT_GT(int_field(event, "moves"), 0) << event;
+    EXPECT_NE(event.find("\"intensify\":\"swap\""), std::string::npos) << event;
+  }
   // Master is tid 0 and slaves occupy tids >= 1.
   EXPECT_TRUE(last_ts_per_tid.count(0));
   EXPECT_GE(last_ts_per_tid.size(), 2U);

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "mkp/generator.hpp"
+#include "obs/counters.hpp"
+#include "tabu/kernels.hpp"
 
 namespace pts::tabu {
 namespace {
@@ -83,7 +88,7 @@ TEST(AddRule, PicksBestFittingItem) {
   MoveKernel kernel(inst);
   const auto pick = kernel.select_add(s, tabu, 1, 100.0);
   ASSERT_TRUE(pick.has_value());
-  // add_score = c_j / (a_j / slack) with slack 10: {10, 20, 10, 30}.
+  // Score c_j / (a_j / slack) with slack 10: {10, 20, 10, 30}.
   EXPECT_EQ(*pick, 3U);
 }
 
@@ -135,18 +140,14 @@ TEST(AddRule, NothingFitsReturnsNull) {
 }
 
 TEST(AddScore, ZeroWhenConstraintSaturated) {
-  const auto inst = make_drop_inst();
-  mkp::Solution s(inst);
-  for (std::size_t j = 0; j < 4; ++j) s.add(j);  // slack 0
-  MoveKernel kernel(inst);
-  // s.contains all; score of a hypothetical new item with weight > 0 is 0.
-  // Drop item 3 so it is a candidate with slack 0 remaining... load 9? No:
-  // dropping 3 leaves load 9, slack 1 > 0. Use a direct saturated case:
+  // Item 0 fills the only constraint (slack 0): item 1 cannot fit, and the
+  // scalar reference reports no fit with a zero score.
   mkp::Instance sat("sat", {5, 5}, {3, 3}, {3});
   mkp::Solution t(sat);
-  t.add(0);  // slack 0
-  MoveKernel k2(sat);
-  EXPECT_DOUBLE_EQ(k2.add_score(t, 1), 0.0);
+  t.add(0);
+  const auto fs = kernels::fit_and_score_scalar(t, 1);
+  EXPECT_FALSE(fs.fit);
+  EXPECT_DOUBLE_EQ(fs.score, 0.0);
 }
 
 TEST(ApplyMove, FillsToMaximalAfterDrops) {
@@ -215,6 +216,48 @@ TEST(ApplyMove, FlippedRecordsDropsThenAdds) {
   (void)kernel.apply(s, tabu, 1, strategy, 7, 1e18, rng, stats);
   const auto outcome = kernel.apply(s, tabu, 2, strategy, 7, 1e18, rng, stats);
   EXPECT_EQ(outcome.flipped.size(), outcome.num_drops + outcome.num_adds);
+}
+
+TEST(ApplyMove, AddPhaseSeesExactlyTheUnselectedItemsAcrossWordBoundaries) {
+  // Unit weights and capacity n: from the empty solution the Add phase must
+  // add all n items (and no pad bit of the mask's last word); with one item
+  // missing, select_add must pick exactly that item.
+  for (const std::size_t n : {63U, 64U, 65U, 130U}) {
+    std::vector<double> profits(n);
+    for (std::size_t j = 0; j < n; ++j) profits[j] = 1.0 + static_cast<double>(j % 7);
+    const mkp::Instance inst("words", std::move(profits), std::vector<double>(n, 1.0),
+                             {static_cast<double>(n)});
+    mkp::Solution s(inst);
+    TabuList tabu(n);
+    const MoveKernel kernel(inst);
+    Rng rng(n);
+    MoveStats stats;
+    const auto outcome = kernel.apply(s, tabu, 1, Strategy{}, 7, 1e18, rng, stats);
+    EXPECT_EQ(outcome.num_drops, 0U) << "n " << n;
+    EXPECT_EQ(outcome.num_adds, n) << "n " << n;
+    EXPECT_EQ(s.cardinality(), n) << "n " << n;
+    for (const std::size_t j : outcome.flipped) EXPECT_LT(j, n) << "n " << n;
+
+    // Every candidate the scan visits is either pruned or swept, so the two
+    // counters count the list: empty when all items are in, then one item.
+    obs::Counters counters;
+    const obs::CounterScope scope(&counters);
+    const auto visited = [&] {
+      return counters[obs::Counter::kFitScoreCalls] +
+             counters[obs::Counter::kPruneEarlyOuts];
+    };
+    EXPECT_FALSE(kernel.select_add(s, tabu, 2, 1e18).has_value()) << "n " << n;
+    if (obs::kTelemetryCompiled) {
+      EXPECT_EQ(visited(), 0U) << "n " << n;
+    }
+    s.drop(n - 1);
+    const auto last = kernel.select_add(s, tabu, 2, 1e18);
+    ASSERT_TRUE(last.has_value()) << "n " << n;
+    EXPECT_EQ(*last, n - 1) << "n " << n;
+    if (obs::kTelemetryCompiled) {
+      EXPECT_EQ(visited(), 1U) << "n " << n;
+    }
+  }
 }
 
 }  // namespace

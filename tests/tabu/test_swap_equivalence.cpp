@@ -145,6 +145,25 @@ TEST(SwapEquivalence, MatchesDoubleLoopWithProfitTiesAndFractionalWeights) {
   }
 }
 
+TEST(SwapEquivalence, MatchesDoubleLoopAcrossWordBoundaries) {
+  // The unselected list is built from the selection mask; sizes around a
+  // word boundary (and no multiple of 64 but 64 itself) must agree too.
+  for (const std::size_t n : {63U, 64U, 65U, 130U}) {
+    const auto inst = mkp::generate_gk({.num_items = n, .num_constraints = 5}, 900 + n);
+    const auto states = start_states(inst, n);
+    for (std::size_t k = 0; k < states.size(); ++k) {
+      expect_same_swaps(states[k], "gk " + std::to_string(n) + "x5 state " +
+                                       std::to_string(k));
+    }
+    const auto tied = tied_fractional_instance(n, 3, n);
+    const auto tied_states = start_states(tied, n + 1);
+    for (std::size_t k = 0; k < tied_states.size(); ++k) {
+      expect_same_swaps(tied_states[k], "tied " + std::to_string(n) + " state " +
+                                            std::to_string(k));
+    }
+  }
+}
+
 TEST(SwapEquivalence, HandBuiltTiesPickTheLowestIndexPartner) {
   // From {0, 4}: items 1, 2 and 3 out-profit item 0 (2 and 3 tie at 7) and
   // item 3 never fits. The first exchange takes item 1, the lowest-index

@@ -84,10 +84,7 @@ int check_sweep(const mkp::Instance& inst, std::uint64_t seed) {
     ++ones;
   }
   std::size_t zeros = 0;
-  for (std::size_t j = bits.next_zero(0); j < inst.num_items();
-       j = bits.next_zero(j + 1)) {
-    ++zeros;
-  }
+  bits.for_each_zero([&](std::size_t) { ++zeros; });
   if (ones != bits.popcount() || ones + zeros != inst.num_items()) {
     std::fprintf(stderr, "SCAN MISCOUNT %s: %zu ones + %zu zeros != %zu items\n",
                  inst.name().c_str(), ones, zeros, inst.num_items());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
@@ -129,28 +131,6 @@ TEST(BitVec, NextOneScansAcrossWords) {
   EXPECT_EQ(v.next_one(200), 200U);  // past the end
 }
 
-TEST(BitVec, NextZeroScansAcrossWords) {
-  BitVec v(130);
-  for (std::size_t i = 0; i < 130; ++i) v.set(i);
-  v.reset(5);
-  v.reset(64);
-  v.reset(129);
-  EXPECT_EQ(v.next_zero(0), 5U);
-  EXPECT_EQ(v.next_zero(6), 64U);
-  EXPECT_EQ(v.next_zero(65), 129U);
-  EXPECT_EQ(v.next_zero(130), 130U);
-}
-
-TEST(BitVec, NextZeroIgnoresClearTailBitsBeyondSize) {
-  // 70 bits: the second word has 58 storage bits past the logical end, all
-  // zero. A zero-scan must report size(), not a phantom index in the tail.
-  BitVec v(70);
-  for (std::size_t i = 0; i < 70; ++i) v.set(i);
-  EXPECT_EQ(v.next_zero(0), 70U);
-  EXPECT_EQ(v.next_one(69), 69U);
-  EXPECT_EQ(v.next_one(70), 70U);
-}
-
 TEST(BitVec, NextScansAgreeWithPerBitLoop) {
   Rng rng(11);
   BitVec v(301);
@@ -164,16 +144,16 @@ TEST(BitVec, NextScansAgreeWithPerBitLoop) {
   }
   EXPECT_EQ(ones, v.popcount());
   std::size_t zeros = 0;
-  for (std::size_t j = v.next_zero(0); j < v.size(); j = v.next_zero(j + 1)) {
+  v.for_each_zero([&](std::size_t j) {
     EXPECT_FALSE(v.test(j));
     ++zeros;
-  }
+  });
   EXPECT_EQ(zeros, v.size() - v.popcount());
 }
 
 // The vector word-skip paths (util/bitvec.cpp) only fast-forward over word
-// groups proven entirely skippable, so next_one/next_zero must return the
-// EXACT scalar answer under every dispatch kind — across word-boundary
+// groups proven entirely zero, so next_one must return the EXACT scalar
+// answer under every dispatch kind — across word-boundary
 // starts, dense/sparse/empty/full patterns, and sizes that leave 0..3
 // trailing words after the 4-word groups.
 TEST(BitVecSimd, ScansMatchScalarUnderVectorDispatch) {
@@ -201,16 +181,39 @@ TEST(BitVecSimd, ScansMatchScalarUnderVectorDispatch) {
         const std::size_t from = rng.index(nbits + 8);
         ASSERT_TRUE(simd::set_active(simd::Kind::kScalar));
         const std::size_t one_scalar = v.next_one(from);
-        const std::size_t zero_scalar = v.next_zero(from);
         ASSERT_TRUE(simd::set_active(kind));
         ASSERT_EQ(v.next_one(from), one_scalar)
-            << "nbits=" << nbits << " density=" << density << " from=" << from;
-        ASSERT_EQ(v.next_zero(from), zero_scalar)
             << "nbits=" << nbits << " density=" << density << " from=" << from;
       }
     }
   }
   simd::set_active(saved);
+}
+
+TEST(BitVec, ForEachOneAndZeroPartitionTheBitsAcrossWordBoundaries) {
+  // Sizes on both sides of a word boundary: a pad bit of the last word
+  // must never be visited, in particular not by the zero walk, which reads
+  // the complemented word.
+  for (const std::size_t n : {1U, 63U, 64U, 65U, 128U, 130U}) {
+    Rng rng(n);
+    for (int pattern = 0; pattern < 4; ++pattern) {
+      BitVec v(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const bool on = pattern == 1 || (pattern == 2 && i % 3 == 0) ||
+                        (pattern == 3 && rng.index(2) == 0);
+        v.assign(i, on);
+      }
+      std::vector<std::size_t> ones;
+      std::vector<std::size_t> zeros;
+      v.for_each_one([&](std::size_t i) { ones.push_back(i); });
+      v.for_each_zero([&](std::size_t i) { zeros.push_back(i); });
+      std::vector<std::size_t> want_ones;
+      std::vector<std::size_t> want_zeros;
+      for (std::size_t i = 0; i < n; ++i) (v.test(i) ? want_ones : want_zeros).push_back(i);
+      EXPECT_EQ(ones, want_ones) << "n " << n << " pattern " << pattern;
+      EXPECT_EQ(zeros, want_zeros) << "n " << n << " pattern " << pattern;
+    }
+  }
 }
 
 }  // namespace
